@@ -67,11 +67,7 @@ class FiniteHeyting:
         return u | v
 
     def imp(self, u: int, v: int) -> int:
-        out = 0
-        for i in range(len(self.frame)):
-            if self.frame.up[i] & u & ~v == 0:
-                out |= 1 << i
-        return out
+        return self.frame.imp(u, v)
 
     def neg(self, u: int) -> int:
         return self.imp(u, 0)
@@ -124,14 +120,6 @@ class FiniteCoHeyting:
         return self.co_imp(self.top, d)
 
 
-def heyting_of_upsets(frame: Poset, cap: int = DEFAULT_UPSET_CAP) -> FiniteHeyting:
-    return FiniteHeyting(frame, cap)
-
-
-def coheyting_of_downsets(frame: Poset, cap: int = DEFAULT_UPSET_CAP) -> FiniteCoHeyting:
-    return FiniteCoHeyting(frame, cap)
-
-
 # ---------------------------------------------------------------------------
 # Formula evaluation over frames
 
@@ -152,12 +140,7 @@ def eval_formula(frame: Poset, valuation: dict[str, int], f: Formula) -> int:
         return left & right
     if isinstance(f, Or):
         return left | right
-    # Implies
-    out = 0
-    for i in range(len(frame)):
-        if frame.up[i] & left & ~right == 0:
-            out |= 1 << i
-    return out
+    return frame.imp(left, right)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .simplicial import (
     complex_from_json,
     complex_to_json,
     complex_to_off,
-    face_poset_json,
     parse_rational,
     verify_complex,
 )
@@ -124,7 +123,7 @@ def cmd_complex(args) -> int:
     elif args.action == "dim":
         print(k.dim())
     elif args.action == "faceposet":
-        print(json.dumps(face_poset_json(k), indent=1))
+        print(json.dumps(poset_to_json(k.face_poset()), indent=1))
     elif args.action == "star":
         star = k.open_star(k.key_of(args.arg))
         print(" ".join(star.names()))
@@ -266,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "complex" and args.action in ("star", "carrier") and args.arg is None:
+        ap.error(f"complex {args.action} needs ARG before FILE")
     if args.command == "counter" and args.polyhedral and args.depth is None:
         args.depth = args.max_size  # any depth reachable at that size
     try:

@@ -78,6 +78,12 @@ class AffinelyDependent(GeometryError):
         super().__init__("affinely dependent vertex set: " + " ".join(self.vertices))
 
 
+class BadCoordinate(GeometryError):
+    def __init__(self, text):
+        self.text = text
+        super().__init__(f"not a rational number: {text!r}")
+
+
 class DimensionMismatch(GeometryError):
     pass
 

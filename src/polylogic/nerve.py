@@ -103,8 +103,7 @@ class PolyhedralCountermodel:
     evaluation: int  # up-set mask, != top
 
     def evaluation_set(self) -> DefinableSet:
-        keys = [self.complex.key_of(n) for n in self.frame.names_of(self.evaluation)]
-        return self.complex.definable("open", keys)
+        return DefinableSet(self.complex, "open", self.evaluation)
 
     def to_json(self) -> dict:
         return {

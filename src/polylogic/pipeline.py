@@ -25,6 +25,7 @@ from .nerve import PolyhedralCountermodel, max_pmorphism, nerve, realize, transf
 from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
 from .simplicial import (
     Complex,
+    DefinableSet,
     co_implication,
     definable_algebras,
     sample_points,
@@ -268,13 +269,10 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
     rep = Report("hneg", seed=seed)
     rng = random.Random(seed)
     face = k.face_poset()
-    key_by_name = {k.name(s): s for s in k.simplices}
     failures = 0
     for trial in range(trials):
-        cm = _random_downset(face, rng)
-        dm = _random_downset(face, rng)
-        c = k.definable("closed", [key_by_name[n] for n in face.names_of(cm)])
-        dset = k.definable("closed", [key_by_name[n] for n in face.names_of(dm)])
+        c = DefinableSet(k, "closed", _random_downset(face, rng))
+        dset = DefinableSet(k, "closed", _random_downset(face, rng))
         e = co_implication(c, dset)
         residue = c.flags - dset.flags
         # independent oracle: faces-of-residue coverage computed from raw
@@ -285,13 +283,14 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
         )
         ok = e.flags == oracle
         # co-adjunction C <= D u E ...
-        ok = ok and c.flags <= (dset.flags | e.flags)
+        ok = ok and c.mask & ~(dset.mask | e.mask) == 0
         # ... with minimality: dropping any maximal element of E breaks it
-        for s in e.flags:
-            if not any(s != t and set(s) < set(t) for t in e.flags):
-                smaller = e.flags - {s}
-                if c.flags <= (dset.flags | smaller):
-                    ok = False
+        top = face.maximal_of(e.mask)
+        while top:
+            bit = top & -top
+            if c.mask & ~(dset.mask | e.mask & ~bit) == 0:
+                ok = False
+            top &= top - 1
         if not ok:
             failures += 1
             if failures <= 3:
@@ -302,8 +301,7 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
     bad = 0
     pts = sample_points(k, 1, seed=seed)
     for _ in range(min(trials, 20)):
-        dm = _random_downset(face, rng)
-        dflags = frozenset(key_by_name[n] for n in face.names_of(dm))
+        dflags = k.simplices_of(_random_downset(face, rng))
         for x, s in pts:
             geom = any(k.contains_point(t, x) for t in dflags)
             if geom != (s in dflags):

@@ -119,6 +119,11 @@ class Poset:
             m &= m - 1
         return out
 
+    def imp(self, u: int, v: int) -> int:
+        """Heyting implication in Up(P): {a : up(a) n u <= v}, i.e. the
+        complement of the down-closure of u \\ v."""
+        return self.full_mask & ~self.down_closure(u & ~v)
+
     def is_upset(self, mask: int) -> bool:
         return self.up_closure(mask) == mask
 

@@ -1,13 +1,17 @@
 """Exact-rational geometric simplicial complexes.
 
 All geometry runs over ``fractions.Fraction``; no floating point enters
-any semantic decision. Simplices are sorted tuples of vertex ids; the
-canonical display name joins the sorted ids (``"acd"`` when every id
-is a single character, comma-separated otherwise).
+any semantic decision. Simplices are sorted tuples of vertex ids, kept in
+``Complex.simplices`` sorted by (size, ids); the canonical display name
+joins the sorted ids (``"acd"`` when every id is a single character,
+comma-separated otherwise).
 
-Definable sets store simplex flags only (lower sets of the face poset
-for closed polarity, upper sets for open); geometry enters exclusively
-through carrier() and member().
+Each complex builds its face poset once, with element i the simplex
+``simplices[i]``. A definable set is a polarity plus an int bitmask over
+that order: a down-set of the face poset when closed, an up-set when
+open (PC^c(K) = Lo(F(K)), PC^o(K) = Up(F(K))). Its algebra is the frame
+algebra of ``Poset``; geometry enters only through carrier() and
+member().
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 
 from .errors import (
     AffinelyDependent,
+    BadCoordinate,
     DimensionMismatch,
     DuplicateVertex,
     OutsideSupport,
@@ -26,7 +31,7 @@ from .errors import (
     UnknownSimplex,
     WrongDimension,
 )
-from .poset import Poset, from_covers, poset_to_json
+from .poset import Poset
 
 __all__ = [
     "Complex",
@@ -45,33 +50,42 @@ SimplexKey = tuple[str, ...]  # sorted vertex ids
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+    """Exact value of an int or of a decimal or fraction string."""
+    try:
+        return Fraction(s) if isinstance(s, int) else Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise BadCoordinate(s) from None
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers
+# Exact linear algebra
 
 
-def _gauss_rank(rows: list[list[Fraction]]) -> int:
+def _rref(rows: list[list[Fraction]], ncols: int):
+    """Gauss-Jordan elimination pivoting only on the first ncols columns
+    (the unknowns); later columns are right-hand sides carried along.
+
+    Returns (rows, pivots): rows[r] for r < len(pivots) is normalised with
+    a 1 in column pivots[r] and 0 in every other pivot column; the
+    leftover rows are zero on the unknowns, so a nonzero right-hand entry
+    there means the system is inconsistent.
+    """
     rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = [x * inv for x in pr]
+        inv = 1 / rows[rank][col]
+        pr = rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
+        pivots.append(col)
+    return rows, pivots
 
 
 def affinely_independent(points: list[Point]) -> bool:
@@ -79,58 +93,53 @@ def affinely_independent(points: list[Point]) -> bool:
         return True
     base = points[0]
     rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return _gauss_rank(rows) == len(points) - 1
+    return len(_rref(rows, len(base))[1]) == len(points) - 1
 
 
 def barycentric_coordinates(points: list[Point], x: Point):
     """Solve x = sum r_i p_i with sum r_i = 1; None if x is not in the
     affine hull of the (affinely independent) points."""
     k = len(points)
-    n = len(x)
     # rows: one per ambient coordinate plus the normalisation row
-    aug = [[points[j][i] for j in range(k)] + [x[i]] for i in range(n)]
-    aug.append([Fraction(1)] * k + [Fraction(1)])
-    # Gaussian elimination on the k unknowns
-    rank = 0
-    where = [-1] * k
-    for col in range(k):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-        where[col] = rank
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][-1] != 0:
-            return None  # inconsistent: x outside the affine hull
-    return [aug[where[c]][-1] if where[c] >= 0 else Fraction(0) for c in range(k)]
+    aug = [[p[i] for p in points] + [x[i]] for i in range(len(x))]
+    aug.append([Fraction(1)] * (k + 1))
+    rows, pivots = _rref(aug, k)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None  # inconsistent: x outside the affine hull
+    coords = [Fraction(0)] * k
+    for row, col in zip(rows, pivots):
+        coords[col] = row[-1]
+    return coords
 
 
 # ---------------------------------------------------------------------------
 # Complex
 
 
+def _faces(key: SimplexKey) -> list[SimplexKey]:
+    """Every nonempty face of a simplex, itself included."""
+    m = len(key)
+    return [tuple(key[i] for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
+
+
 class Complex:
-    """Geometric simplicial complex closed under nonempty faces."""
+    """Geometric simplicial complex closed under nonempty faces;
+    ``index[s]`` is the bit of simplex s in every mask over it."""
 
     def __init__(self, vertices: dict[str, Point], simplices: set[SimplexKey], ambient: int):
         self.vertices = dict(vertices)
         self.ambient = ambient
         self.simplices: list[SimplexKey] = sorted(simplices, key=lambda s: (len(s), s))
-        self._set = set(self.simplices)
+        self.index = {s: i for i, s in enumerate(self.simplices)}
         self._multichar = any(len(v) != 1 for v in self.vertices)
+        up = [0] * len(self.simplices)
+        for i, s in enumerate(self.simplices):
+            for face in _faces(s):
+                up[self.index[face]] |= 1 << i
+        self._face = Poset([self.name(s) for s in self.simplices], up, _trusted=True)
 
     def __len__(self):
         return len(self.simplices)
-
-    def __contains__(self, key: SimplexKey):
-        return tuple(key) in self._set
 
     def name(self, key: SimplexKey) -> str:
         sep = "," if self._multichar else ""
@@ -138,9 +147,19 @@ class Complex:
 
     def key_of(self, name: str) -> SimplexKey:
         key = tuple(sorted(name.split(","))) if self._multichar else tuple(sorted(name))
-        if key not in self._set:
+        if key not in self.index:
             raise UnknownSimplex(name)
         return key
+
+    def _bit(self, key: SimplexKey) -> int:
+        key = tuple(key)
+        if key not in self.index:
+            raise UnknownSimplex("".join(key))
+        return self.index[key]
+
+    def simplices_of(self, mask: int) -> list[SimplexKey]:
+        """The simplices whose bits are set in mask, in simplex order."""
+        return [s for i, s in enumerate(self.simplices) if mask >> i & 1]
 
     def points_of(self, key: SimplexKey) -> list[Point]:
         return [self.vertices[v] for v in key]
@@ -151,15 +170,12 @@ class Complex:
         return max(len(s) for s in self.simplices) - 1
 
     def face_poset(self) -> Poset:
-        names = [self.name(s) for s in self.simplices]
-        covers = []
-        for s in self.simplices:
-            if len(s) == 1:
-                continue
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1:]
-                covers.append((self.name(face), self.name(s)))
-        return from_covers(names, sorted(set(covers)))
+        """Simplices ordered by inclusion, element i being simplices[i]."""
+        return self._face
+
+    def maximal(self) -> list[SimplexKey]:
+        """The maximal simplices, in simplex order."""
+        return self.simplices_of(self._face.maximal_of(self._face.full_mask))
 
     # -- geometry ---------------------------------------------------------
 
@@ -183,54 +199,46 @@ class Complex:
         coords = barycentric_coordinates(self.points_of(key), x)
         return coords is not None and all(c >= 0 for c in coords)
 
+    # -- definable sets ---------------------------------------------------
+
     def open_star(self, key: SimplexKey) -> "DefinableSet":
-        key = tuple(key)
-        if key not in self._set:
-            raise UnknownSimplex("".join(key))
-        flags = frozenset(t for t in self.simplices if set(key) <= set(t))
-        return DefinableSet(self, "open", flags)
+        return DefinableSet(self, "open", self._face.up[self._bit(key)])
 
     def definable(self, polarity: str, keys) -> "DefinableSet":
-        return DefinableSet(self, polarity, frozenset(tuple(k) for k in keys))
+        mask = 0
+        for key in keys:
+            mask |= 1 << self._bit(key)
+        return DefinableSet(self, polarity, mask)
 
     def full_set(self, polarity: str) -> "DefinableSet":
-        return DefinableSet(self, polarity, frozenset(self._set))
-
-    def empty_set(self, polarity: str) -> "DefinableSet":
-        return DefinableSet(self, polarity, frozenset())
-
-    def faces_of(self, key: SimplexKey) -> list[SimplexKey]:
-        return [t for t in self.simplices if set(t) <= set(key)]
-
-    def cofaces_of(self, key: SimplexKey) -> list[SimplexKey]:
-        return [t for t in self.simplices if set(key) <= set(t)]
+        return DefinableSet(self, polarity, self._face.full_mask)
 
 
 @dataclass(frozen=True)
 class DefinableSet:
-    """A lower set (closed) or upper set (open) of the face poset, with
-    geometric membership via carrier()."""
+    """A definable subpolyhedron: a down-set (closed) or up-set (open) of
+    the face poset, as a mask whose bit i is ``complex.simplices[i]``.
+    Set operations are bit operations, the implications those of the face
+    poset; a point is a member iff its carrier is."""
 
     complex: Complex
     polarity: str  # "closed" | "open"
-    flags: frozenset
+    mask: int
 
     def __post_init__(self):
+        face = self.complex._face
         if self.polarity not in ("closed", "open"):
             raise PolarityMismatch(f"bad polarity {self.polarity!r}")
-        for s in self.flags:
-            if s not in self.complex._set:
-                raise UnknownSimplex("".join(s))
-        for s in self.flags:
-            if self.polarity == "closed":
-                bad = [t for t in self.complex.faces_of(s) if t not in self.flags]
-            else:
-                bad = [t for t in self.complex.cofaces_of(s) if t not in self.flags]
-            if bad:
-                kind = "down" if self.polarity == "closed" else "up"
-                raise PolarityMismatch(
-                    f"flags not {kind}-closed at {self.complex.name(s)}"
-                )
+        if self.mask < 0 or self.mask >> len(face):
+            raise ValueError("mask has bits outside the complex")
+        closed = self.polarity == "closed"
+        if not (face.is_downset if closed else face.is_upset)(self.mask):
+            raise PolarityMismatch(f"flags not {'down' if closed else 'up'}-closed")
+
+    @property
+    def flags(self) -> frozenset:
+        """The member simplices, decoded from the mask."""
+        return frozenset(self.complex.simplices_of(self.mask))
 
     def _same(self, other: "DefinableSet"):
         if self.complex is not other.complex or self.polarity != other.polarity:
@@ -238,22 +246,22 @@ class DefinableSet:
 
     def union(self, other: "DefinableSet") -> "DefinableSet":
         self._same(other)
-        return DefinableSet(self.complex, self.polarity, self.flags | other.flags)
+        return DefinableSet(self.complex, self.polarity, self.mask | other.mask)
 
     def intersection(self, other: "DefinableSet") -> "DefinableSet":
         self._same(other)
-        return DefinableSet(self.complex, self.polarity, self.flags & other.flags)
+        return DefinableSet(self.complex, self.polarity, self.mask & other.mask)
 
     def complement(self) -> "DefinableSet":
         """Flag complement: swaps polarity (closed <-> open)."""
         pol = "open" if self.polarity == "closed" else "closed"
-        return DefinableSet(self.complex, pol, frozenset(self.complex._set) - self.flags)
+        return DefinableSet(self.complex, pol, self.complex._face.full_mask & ~self.mask)
 
     def member(self, x: Point) -> bool:
-        return self.complex.carrier(x) in self.flags
+        return bool(self.mask >> self.complex.index[self.complex.carrier(x)] & 1)
 
     def names(self) -> list[str]:
-        return [self.complex.name(s) for s in sorted(self.flags, key=lambda s: (len(s), s))]
+        return self.complex._face.names_of(self.mask)
 
 
 def heyting_implication(u: DefinableSet, v: DefinableSet) -> DefinableSet:
@@ -261,12 +269,7 @@ def heyting_implication(u: DefinableSet, v: DefinableSet) -> DefinableSet:
     if u.polarity != "open" or v.polarity != "open":
         raise PolarityMismatch("heyting implication needs open operands")
     u._same(v)
-    k = u.complex
-    flags = frozenset(
-        s for s in k.simplices
-        if all(t in v.flags for t in k.cofaces_of(s) if t in u.flags)
-    )
-    return DefinableSet(k, "open", flags)
+    return DefinableSet(u.complex, "open", u.complex._face.imp(u.mask, v.mask))
 
 
 def co_implication(c: DefinableSet, d: DefinableSet) -> DefinableSet:
@@ -275,12 +278,7 @@ def co_implication(c: DefinableSet, d: DefinableSet) -> DefinableSet:
     if c.polarity != "closed" or d.polarity != "closed":
         raise PolarityMismatch("co-implication needs closed operands")
     c._same(d)
-    k = c.complex
-    residue = c.flags - d.flags
-    flags = set()
-    for s in residue:
-        flags.update(k.faces_of(s))
-    return DefinableSet(k, "closed", frozenset(flags))
+    return DefinableSet(c.complex, "closed", c.complex._face.down_closure(c.mask & ~d.mask))
 
 
 def definable_algebras(k: Complex, cap: int | None = None):
@@ -330,11 +328,7 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
                 raise DuplicateVertex(f"simplex references unknown vertex {v!r}")
         if not affinely_independent([verts[v] for v in ids]):
             raise AffinelyDependent(ids)
-        # all nonempty subsets are faces
-        m = len(ids)
-        for mask in range(1, 1 << m):
-            face = tuple(ids[i] for i in range(m) if mask >> i & 1)
-            simplices.add(face)
+        simplices.update(_faces(ids))
     return Complex(verts, simplices, ambient)
 
 
@@ -350,37 +344,29 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
 
 def _fm_feasible(eqs, ineqs) -> bool:
     """eqs: (coeffs, const) meaning sum c_i x_i + const = 0.
-    ineqs: (coeffs, const, strict) meaning sum c_i x_i + const >= 0 (> 0)."""
-    eqs = [(list(c), k) for c, k in eqs]
-    ineqs = [(list(c), k, s) for c, k, s in ineqs]
+    ineqs: (coeffs, const, strict) meaning sum c_i x_i + const >= 0 (> 0).
+
+    The equalities are solved for their pivot variables, which are
+    substituted out of the inequalities; Fourier-Motzkin eliminates the
+    free variables that remain."""
     nvars = len(eqs[0][0]) if eqs else (len(ineqs[0][0]) if ineqs else 0)
-    live = list(range(nvars))
-    # eliminate variables using equalities first
-    while eqs:
-        coeffs, const = eqs.pop()
-        j = next((v for v in live if coeffs[v] != 0), None)
-        if j is None:
-            if const != 0:
-                return False
-            continue
-        # x_j = -(const + sum_{i != j} c_i x_i) / c_j
-        cj = coeffs[j]
-        live.remove(j)
-
-        def subst(tc, tk):
-            f = tc[j] / cj
-            nc = [tc[v] - f * coeffs[v] for v in range(nvars)]
-            nc[j] = Fraction(0)
-            return nc, tk - f * const
-
-        eqs = [(*subst(c, k),) for c, k in eqs]
-        ineqs = [(*subst(c, k), s) for c, k, s in ineqs]
-    # Fourier-Motzkin on the remaining inequalities
-    for j in live:
+    rows, pivots = _rref([list(c) + [k] for c, k in eqs], nvars)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return False
+    reduced = []
+    for coeffs, const, strict in ineqs:
+        # x_j = -(row[-1] + sum over free v of row[v] x_v) for pivot j
+        for row, j in zip(rows, pivots):
+            f = coeffs[j]
+            if f != 0:
+                coeffs = [a - f * b for a, b in zip(coeffs, row)]
+                const -= f * row[-1]
+        reduced.append((coeffs, const, strict))
+    ineqs = reduced
+    for j in sorted(set(range(nvars)) - set(pivots)):
         pos = [t for t in ineqs if t[0][j] > 0]
         neg = [t for t in ineqs if t[0][j] < 0]
-        rest = [t for t in ineqs if t[0][j] == 0]
-        new = list(rest)
+        new = [t for t in ineqs if t[0][j] == 0]
         for pc, pk, ps in pos:
             for nc, nk, ns in neg:
                 a, b = pc[j], -nc[j]
@@ -435,13 +421,35 @@ class ComplexReport:
 
 
 def verify_complex(k: Complex) -> ComplexReport:
-    """Exact check of the pairwise-intersection condition."""
+    """Exact check of the pairwise-intersection condition: every pair of
+    non-nested simplices (s, t), s before t, that meets outside a common
+    face is reported by name, in simplex order.
+
+    The exact test runs on (s, t) only when (M, N) fails it, where M and N
+    are the first maximal cofaces of s and t. That skips no violation:
+    build_complex checks M and N for affine independence, so a point x of
+    s n t has unique barycentric coordinates in M and in N, namely its
+    coordinates in s and in t. If M and N meet properly, x lies in the face
+    spanned by their shared vertices, so its M- and N-coordinates coincide;
+    hence its s- and t-coordinates coincide, are supported on the shared
+    vertices of s and t, and s and t meet properly too. When M = N, s and
+    t are faces of one simplex and always meet properly.
+    """
+    face = k._face
+    first_max = [(m & -m).bit_length() - 1 for m in map(face.maximal_of, face.up)]
+    maximal_violates: dict[tuple[int, int], bool] = {}
     bad = []
     for i, s in enumerate(k.simplices):
-        for t in k.simplices[i + 1:]:
-            if set(s) <= set(t) or set(t) <= set(s):
+        nested = face.up[i] | face.down[i]
+        for j in range(i + 1, len(k.simplices)):
+            if nested >> j & 1 or first_max[i] == first_max[j]:
                 continue
-            if _pair_violates(k, s, t):
+            mn = tuple(sorted((first_max[i], first_max[j])))
+            if mn not in maximal_violates:
+                m, n = (k.simplices[x] for x in mn)
+                maximal_violates[mn] = _pair_violates(k, m, n)
+            t = k.simplices[j]
+            if maximal_violates[mn] and (mn == (i, j) or _pair_violates(k, s, t)):
                 bad.append((k.name(s), k.name(t)))
     return ComplexReport(bad)
 
@@ -455,14 +463,12 @@ def is_closed_pseudomanifold(k: Complex, d: int):
     Returns (verdict, witnesses)."""
     if k.dim() != d:
         raise WrongDimension(f"complex has dimension {k.dim()}, expected {d}")
-    witnesses = []
-    tops = [s for s in k.simplices if len(s) == d + 1]
-    for s in k.simplices:
-        if len(s) != d:
-            continue
-        count = sum(1 for t in tops if set(s) <= set(t))
-        if count != 2:
-            witnesses.append(k.name(s))
+    up = k.face_poset().up
+    tops = sum(1 << i for i, s in enumerate(k.simplices) if len(s) == d + 1)
+    witnesses = [
+        k.name(s) for i, s in enumerate(k.simplices)
+        if len(s) == d and bin(up[i] & tops).count("1") != 2
+    ]
     return not witnesses, witnesses
 
 
@@ -504,18 +510,11 @@ def complex_from_json(data) -> Complex:
     return build_complex(data["vertices"], data["maximal"])
 
 
-def _maximal_of(k: Complex) -> list[SimplexKey]:
-    return [
-        s for s in k.simplices
-        if not any(s != t and set(s) < set(t) for t in k.simplices)
-    ]
-
-
 def complex_to_json(k: Complex) -> dict:
     return {
         "dim": k.ambient,
         "vertices": {v: [str(c) for c in pt] for v, pt in k.vertices.items()},
-        "maximal": [list(s) for s in _maximal_of(k)],
+        "maximal": [list(s) for s in k.maximal()],
     }
 
 
@@ -525,7 +524,7 @@ def complex_to_off(k: Complex) -> str:
         raise DimensionMismatch("OFF export requires ambient dimension <= 3")
     order = list(k.vertices)
     idx = {v: i for i, v in enumerate(order)}
-    faces = [s for s in _maximal_of(k) if len(s) >= 2]
+    faces = [s for s in k.maximal() if len(s) >= 2]
     lines = ["OFF", f"{len(order)} {len(faces)} 0"]
     for v in order:
         pt = list(k.vertices[v]) + [Fraction(0)] * (3 - k.ambient)
@@ -533,7 +532,3 @@ def complex_to_off(k: Complex) -> str:
     for s in faces:
         lines.append(" ".join([str(len(s))] + [str(idx[v]) for v in s]))
     return "\n".join(lines) + "\n"
-
-
-def face_poset_json(k: Complex) -> dict:
-    return poset_to_json(k.face_poset())

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import cofaces_of
 
 from polylogic import corpus
 from polylogic.algebra import eval_formula
@@ -122,7 +123,7 @@ def test_criterion_6_pointwise_semantics():
                     ok = ok and ((not mu) or mv)
                 # independent local check of the implication at the carrier
                 ok = ok and (s in w.flags) == all(
-                    t in v.flags for t in k.cofaces_of(s) if t in u.flags
+                    t in v.flags for t in cofaces_of(k, s) if t in u.flags
                 )
     ok = ok and total >= 1000
     _verdict(6, f"{total} sampled points: set operations pointwise + carrier laws", ok)

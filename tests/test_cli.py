@@ -95,6 +95,27 @@ def test_complex_carrier_outside_support_exits_2(capsys, corpus_dir):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("coordinate", ["1/0", "x"])
+def test_malformed_coordinate_exits_2(capsys, corpus_dir, tmp_path, coordinate):
+    data = json.loads((corpus_dir / "square.complex.json").read_text())
+    data["vertices"]["a"][0] = coordinate
+    bad = tmp_path / "bad.complex.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "complex", "dim", str(bad))
+    assert code == 2 and err.startswith("error") and err.count("\n") == 1
+    sq = str(corpus_dir / "square.complex.json")
+    code, _, err = run(capsys, "complex", "carrier", f"{coordinate},0", sq)
+    assert code == 2 and err.startswith("error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("action", ["star", "carrier"])
+def test_complex_missing_arg_exits_2_with_usage(capsys, corpus_dir, action):
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", action, str(corpus_dir / "square.complex.json")])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "poset", "depth", "/nonexistent.json")
     assert code == 2 and "error" in err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import cofaces_of, faces_of
 
 from polylogic.errors import (
     AffinelyDependent,
@@ -131,7 +132,7 @@ def test_carrier_is_unique_and_minimal():
     for x, _ in sample_points(k, 3, seed=11):
         sigma = k.carrier(x)
         assert k.contains_point(sigma, x)
-        for tau in k.faces_of(sigma):
+        for tau in faces_of(k, sigma):
             if tau != sigma:
                 bc = barycentric_coordinates(k.points_of(tau), x)
                 assert bc is None or min(bc) < 0
@@ -149,7 +150,7 @@ def test_open_star():
 def test_star_matches_cofaces():
     k = square()
     for s in k.simplices:
-        assert set(k.open_star(s).names()) == {k.name(t) for t in k.cofaces_of(s)}
+        assert set(k.open_star(s).names()) == {k.name(t) for t in cofaces_of(k, s)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +159,9 @@ def test_star_matches_cofaces():
 
 def test_definable_polarity_validation():
     k = square()
-    closed = k.definable("closed", k.faces_of(("a", "b")))
+    closed = k.definable("closed", faces_of(k, ("a", "b")))
     assert closed.names() == ["a", "b", "ab"]
-    opened = k.definable("open", k.cofaces_of(("a", "c")))
+    opened = k.definable("open", cofaces_of(k, ("a", "c")))
     assert opened.names() == ["ac", "abc", "acd"]
     with pytest.raises(PolarityMismatch):
         closed.union(opened)
@@ -182,7 +183,7 @@ def test_membership_is_geometric():
     assert star_ac.member((F(1, 2), F(1, 2)))
     assert star_ac.member((F(1, 2), F(1, 4)))
     assert not star_ac.member((F(1), F(0)))
-    closure_ab = k.definable("closed", k.faces_of(("a", "b")))
+    closure_ab = k.definable("closed", faces_of(k, ("a", "b")))
     assert closure_ab.member((F(1, 2), F(0)))
     assert not closure_ab.member((F(1, 2), F(1, 4)))
 
@@ -196,7 +197,7 @@ def test_heyting_implication_against_local_analysis():
     w = heyting_implication(u, v)
     for s in k.simplices:
         in_w = s in w.flags
-        local = all(t in v.flags for t in k.cofaces_of(s) if t in u.flags)
+        local = all(t in v.flags for t in cofaces_of(k, s) if t in u.flags)
         assert in_w == local
     for x, s in sample_points(k, 2, seed=3):
         if w.member(x):
@@ -206,7 +207,7 @@ def test_heyting_implication_against_local_analysis():
 def test_co_implication_example():
     k = square()
     c = k.full_set("closed")
-    d = k.definable("closed", k.faces_of(("a", "b", "c")))
+    d = k.definable("closed", faces_of(k, ("a", "b", "c")))
     e = co_implication(c, d)
     # supports of C minus D: everything not under abc
     assert "acd" in e.names() and "d" in e.names()
