@@ -14,8 +14,10 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    MalformedInput,
     MissingAtom,
     NotPMorphism,
+    SoundnessError,
     TrivialAlgebra,
 )
 from .formula import And, Atom, Bottom, Formula, Implies, Or, Top, atoms
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
+_BATCH = 1 << 16  # valuations per vectorised step of is_valid
 
 
 class FiniteHeyting:
@@ -181,8 +184,9 @@ def is_valid(
 
     Valuations are enumerated lexicographically: atoms in first-occurrence
     order, up-sets in ascending bitmask order; the first refuting valuation
-    in that order is returned. Raises BudgetExceeded before starting if the
-    search space is larger than the budget.
+    in that order is returned, and ``checked`` is its 1-based position in
+    that order (all m**k valuations when f is valid). Raises BudgetExceeded
+    before starting if the search space is larger than the budget.
     """
     h = algebra if algebra is not None else FiniteHeyting(frame, cap)
     names = atoms(f)
@@ -197,31 +201,27 @@ def is_valid(
     tables = h.tables()
     bot_idx = h.index[h.bot]
     top_idx = h.index[h.top]
-    # Vectorise over the last (up to) two atoms; loop over the rest.
-    inner = names[-2:] if k >= 2 else names[-1:]
-    outer = names[: k - len(inner)]
-    if len(inner) == 2:
-        grid = (np.arange(m).reshape(m, 1), np.arange(m).reshape(1, m))
-    else:
-        grid = (np.arange(m),)
-    checked = 0
-    for combo in itertools.product(range(m), repeat=len(outer)):
+    # Vectorise over the longest suffix of atoms whose valuation grid fits
+    # in one batch, and at least the last two; loop over the rest. The
+    # C-order flat index of the grid is lexicographic in the inner atoms.
+    r = min(k, 2)
+    while r < k and m ** (r + 1) <= _BATCH:
+        r += 1
+    inner, outer = names[k - r:], names[: k - r]
+    shape = (m,) * r
+    grid = [np.arange(m).reshape([m if i == j else 1 for i in range(r)]) for j in range(r)]
+    for done, combo in enumerate(itertools.product(range(m), repeat=len(outer))):
         arrays = {name: np.int64(idx) for name, idx in zip(outer, combo)}
-        for name, g in zip(inner, grid):
-            arrays[name] = g
+        arrays.update(zip(inner, grid))
         res = _eval_indices(f, arrays, tables, bot_idx, top_idx)
-        res = np.broadcast_to(res, (m,) * len(inner))
-        flat = res.reshape(-1)
-        bad = np.flatnonzero(flat != top_idx)
-        checked += flat.size
+        bad = np.flatnonzero(np.broadcast_to(res, shape) != top_idx)
         if bad.size:
             first = int(bad[0])
-            inner_idx = np.unravel_index(first, (m,) * len(inner))
             valuation = {name: h.carrier[idx] for name, idx in zip(outer, combo)}
-            for name, idx in zip(inner, inner_idx):
+            for name, idx in zip(inner, np.unravel_index(first, shape)):
                 valuation[name] = h.carrier[int(idx)]
-            return ValidityResult(False, valuation, checked)
-    return ValidityResult(True, None, checked)
+            return ValidityResult(False, valuation, done * m**r + first + 1)
+    return ValidityResult(True, None, total)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +339,17 @@ def up_of_pmorphism(f: MonotoneMap, check: bool = True):
     if check:
         ha = FiniteHeyting(f.dom)
         for u, v in itertools.product(hb.carrier, repeat=2):
-            assert mapping[hb.meet(u, v)] == ha.meet(mapping[u], mapping[v])
-            assert mapping[hb.join(u, v)] == ha.join(mapping[u], mapping[v])
-            assert mapping[hb.imp(u, v)] == ha.imp(mapping[u], mapping[v])
-        assert mapping[hb.bot] == ha.bot and mapping[hb.top] == ha.top
-        if f.is_surjective():
-            assert len(set(mapping.values())) == len(mapping), "dual map not injective"
+            for opname, op_b, op_a in (
+                ("meet", hb.meet, ha.meet),
+                ("join", hb.join, ha.join),
+                ("imp", hb.imp, ha.imp),
+            ):
+                if mapping[op_b(u, v)] != op_a(mapping[u], mapping[v]):
+                    raise SoundnessError(f"dual map does not preserve {opname} on {u}, {v}")
+        if mapping[hb.bot] != ha.bot or mapping[hb.top] != ha.top:
+            raise SoundnessError("dual map does not preserve the bounds")
+        if f.is_surjective() and len(set(mapping.values())) != len(mapping):
+            raise SoundnessError("dual map of a surjective p-morphism is not injective")
     return mapping
 
 
@@ -365,6 +370,6 @@ def valuation_from_json(frame: Poset, data: dict) -> dict[str, int]:
     for atom_name, members in data.items():
         mask = frame.mask_of(members)
         if not frame.is_upset(mask):
-            raise ValueError(f"valuation of {atom_name!r} is not an up-set")
+            raise MalformedInput(f"valuation of {atom_name!r} is not an up-set")
         out[atom_name] = mask
     return out

@@ -19,7 +19,7 @@ from .algebra import (
     is_valid,
     valuation_from_json,
 )
-from .errors import PolylogicError
+from .errors import MalformedInput, PolylogicError
 from .formula import bd, parse, pretty
 from .pipeline import (
     decide_in_bd_logic,
@@ -41,9 +41,16 @@ from .simplicial import (
 )
 
 
-def _load_json(path: str):
+def _read(path: str) -> str:
     with open(path) as fh:
-        return json.load(fh)
+        return fh.read()
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as e:
+        raise MalformedInput(f"{path}: invalid JSON: {e}") from None
 
 
 def _emit(args, data, text: str | None = None):
@@ -81,7 +88,7 @@ def cmd_formula(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    p = poset_from_json(_load_json(args.file))
+    p = poset_from_json(_read(args.file))
     if args.action == "depth":
         print(p.depth())
     else:  # upsets
@@ -92,7 +99,7 @@ def cmd_poset(args) -> int:
 
 def cmd_frame(args) -> int:
     f = parse(args.formula)
-    frame = poset_from_json(_load_json(args.poset))
+    frame = poset_from_json(_read(args.poset))
     if args.valuation:
         v = valuation_from_json(frame, _load_json(args.valuation))
         mask = eval_formula(frame, v, f)
@@ -134,7 +141,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    p = poset_from_json(_load_json(args.file))
+    p = poset_from_json(_read(args.file))
     from .nerve import realize
 
     k = realize(p)

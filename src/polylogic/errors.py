@@ -24,6 +24,12 @@ class CycleError(PolylogicError):
         super().__init__("cover relation contains a cycle: " + " < ".join(self.cycle))
 
 
+class MalformedInput(PolylogicError, ValueError):
+    """Input data that cannot be read: invalid JSON, missing keys,
+    duplicate elements, an up-mask that is not an order, or a valuation
+    that is not an up-set."""
+
+
 class UnknownElement(PolylogicError):
     def __init__(self, name):
         self.name = name
@@ -66,6 +72,11 @@ class EmptyPoset(PolylogicError):
 
 class NotACountermodel(PolylogicError):
     pass
+
+
+class SoundnessError(PolylogicError):
+    """An internal cross-check failed: an answer did not re-verify. This
+    is a bug in polylogic, reported instead of a wrong answer."""
 
 
 class GeometryError(PolylogicError):

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyPoset, NotACountermodel
+from .errors import EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
 from .poset import MonotoneMap, Poset, from_covers
 from .simplicial import Complex, DefinableSet, build_complex, complex_to_json
@@ -133,9 +133,11 @@ def transfer_countermodel(a: Poset, valuation: dict[str, int], f: Formula) -> Po
     face = k.face_poset()
     pm = max_pmorphism(a)
     ok, witness = is_pmorphism(pm)
-    assert ok and pm.is_surjective(), witness
+    if not (ok and pm.is_surjective()):
+        raise SoundnessError(f"max map is not a surjective p-morphism, witness {witness}")
     # pm's domain is nerve(a); align it with the face poset by name
-    assert sorted(pm.dom.elements) == sorted(face.elements)
+    if sorted(pm.dom.elements) != sorted(face.elements):
+        raise SoundnessError("nerve and face poset of the realization differ")
     transferred = {}
     for p, mask in valuation.items():
         nerve_mask = pm.preimage_mask(mask)

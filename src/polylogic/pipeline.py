@@ -20,6 +20,7 @@ from .algebra import (
     spec,
     stone_map,
 )
+from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, atoms, bd, pretty
 from .nerve import PolyhedralCountermodel, max_pmorphism, nerve, realize, transfer_countermodel
 from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
@@ -79,20 +80,58 @@ class Verdict:
         return out
 
 
+def _rooted_frames(n: int, max_depth: int | None):
+    """Rooted frames on x1..xn of depth <= max_depth, one per isomorphism
+    class: x1 is a bottom added below an (n-1)-poset of depth
+    <= max_depth - 1, in the order of enumerate_posets."""
+    names = [f"x{i + 1}" for i in range(n)]
+    if n == 1:
+        if max_depth is None or max_depth >= 0:
+            yield Poset(names, [1], _trusted=True)
+    elif max_depth is None or max_depth >= 1:
+        full = (1 << n) - 1
+        above = None if max_depth is None else max_depth - 1
+        for p in enumerate_posets(n - 1, above):
+            yield Poset(names, [full, *(u << 1 for u in p.up)], _trusted=True)
+
+
 def find_frame_countermodel(
     f: Formula,
     max_size: int,
     max_depth: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """First refuting frame in enumeration order, sizes 1..max_size."""
-    bounds = {"max_size": max_size, "max_depth": max_depth}
+    """First refuting rooted frame of size <= max_size and depth <= max_depth.
+
+    Rooted frames suffice: if f is refuted at a point w of a frame A, it is
+    refuted at w on the subframe generated by w, the up-set of w. A formula's
+    value at a point depends only on the points above it, and valuations
+    restrict to up-sets of the subframe. That subframe is rooted, and no
+    larger or deeper than A, so the smallest refuting frame is also found.
+
+    Witness order: sizes ascending, then ascending canonical form of the
+    poset above the root. ``bounds["searched_size"]`` is the largest n such
+    that every frame of size <= n was searched without a refutation. When a
+    frame's valuation space exceeds the budget at size n, the search stops
+    there and reports NoCountermodelUpToBound with searched_size n - 1.
+    """
+    bounds = {"max_size": max_size, "max_depth": max_depth, "searched_size": max_size}
     for n in range(1, max_size + 1):
-        for frame in enumerate_posets(n, max_depth):
-            res = is_valid(frame, f, budget=budget)
+        for frame in _rooted_frames(n, max_depth):
+            try:
+                res = is_valid(frame, f, budget=budget)
+            except BudgetExceeded:
+                bounds["searched_size"] = n - 1
+                return Verdict(NO_COUNTERMODEL, f, bounds)
             if not res.valid:
                 # soundness: the witness must re-verify by direct evaluation
-                assert eval_formula(frame, res.valuation, f) != frame.full_mask
+                if not all(frame.is_upset(m) for m in res.valuation.values()) or (
+                    eval_formula(frame, res.valuation, f) == frame.full_mask
+                ):
+                    raise SoundnessError(
+                        f"refutation of {pretty(f)} on a {n}-element frame does not re-verify"
+                    )
+                bounds["searched_size"] = n - 1
                 return Verdict(REFUTED_ON_FRAME, f, bounds, frame, res.valuation)
     return Verdict(NO_COUNTERMODEL, f, bounds)
 
@@ -114,7 +153,11 @@ def polyhedral_countermodel(
     if not verdict.refuted:
         return verdict
     pcm = transfer_countermodel(verdict.frame, verdict.valuation, f)
-    assert pcm.complex.dim() == verdict.frame.depth() <= d
+    if not pcm.complex.dim() == verdict.frame.depth() <= d:
+        raise SoundnessError(
+            f"polyhedron of dimension {pcm.complex.dim()} for a frame of depth "
+            f"{verdict.frame.depth()}, bound {d}"
+        )
     return Verdict(
         REFUTED_ON_POLYHEDRON, f, verdict.bounds, verdict.frame, verdict.valuation, pcm
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     CapExceeded,
     CycleError,
+    MalformedInput,
     NotMonotone,
     UnknownElement,
 )
@@ -39,12 +40,12 @@ class Poset:
     def __init__(self, elements, up_masks, *, _trusted: bool = False):
         self.elements: tuple[str, ...] = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element identifiers")
+            raise MalformedInput("duplicate element identifiers")
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.up: tuple[int, ...] = tuple(up_masks)
         n = len(self.elements)
         if len(self.up) != n:
-            raise ValueError("one up-mask per element required")
+            raise MalformedInput("one up-mask per element required")
         down = [0] * n
         for i in range(n):
             m = self.up[i]
@@ -60,16 +61,16 @@ class Poset:
         n = len(self.elements)
         for i in range(n):
             if not self.up[i] >> i & 1:
-                raise ValueError(f"relation not reflexive at {self.elements[i]}")
+                raise MalformedInput(f"relation not reflexive at {self.elements[i]}")
             if self.up[i] >> n:
-                raise ValueError("up-mask references unknown element")
+                raise MalformedInput("up-mask references unknown element")
             m = self.up[i]
             while m:
                 j = (m & -m).bit_length() - 1
                 if self.up[j] & ~self.up[i]:
-                    raise ValueError("relation not transitive")
+                    raise MalformedInput("relation not transitive")
                 if j != i and self.up[j] >> i & 1:
-                    raise ValueError(
+                    raise MalformedInput(
                         f"relation not antisymmetric on "
                         f"{self.elements[i]}, {self.elements[j]}"
                     )
@@ -482,6 +483,20 @@ def poset_to_json(p: Poset) -> dict:
 
 
 def poset_from_json(data) -> Poset:
+    """Poset from {"elements": [...], "covers": [[a, b], ...]}, given as a
+    dict or as JSON text. Malformed data raises MalformedInput."""
     if isinstance(data, str):
-        data = json.loads(data)
-    return from_covers(data["elements"], [tuple(c) for c in data["covers"]])
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as e:
+            raise MalformedInput(f"invalid JSON: {e}") from None
+    if not isinstance(data, dict) or not {"elements", "covers"} <= data.keys():
+        raise MalformedInput('poset JSON needs "elements" and "covers"')
+    elements, covers = data["elements"], data["covers"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise MalformedInput('"elements" must be a list of strings')
+    if not isinstance(covers, list) or not all(
+        isinstance(c, (list, tuple)) and len(c) == 2 for c in covers
+    ):
+        raise MalformedInput('"covers" must be a list of [lower, upper] pairs')
+    return from_covers(elements, [tuple(c) for c in covers])

@@ -1,16 +1,28 @@
-"""Reference implementations that the program's mask and elimination
-code is tested against.
+"""Reference implementations that the program's fast paths are tested
+against.
 
-These are the direct frozenset scans and the separate exact eliminations
+Geometry: the direct frozenset scans and the separate exact eliminations
 that ``polylogic.simplicial`` used before definable sets became face-poset
 bitmasks and the eliminations became one Gauss-Jordan routine. They are
 slow and independent of the face poset: simplices are compared by raw
 vertex-set inclusion only.
+
+Search: the countermodel search over every poset of each size, and the
+validity check that vectorises over the last two atoms only, as used
+before the search was restricted to rooted frames and the check to
+whole-batch grids.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+import numpy as np
+
+from polylogic.algebra import FiniteHeyting, _eval_indices, eval_formula
+from polylogic.formula import atoms
+from polylogic.poset import enumerate_posets
 
 
 def faces_of(k, key):
@@ -178,3 +190,54 @@ def verify_complex_violations(k):
             if pair_violates(k, s, t):
                 bad.append((k.name(s), k.name(t)))
     return bad
+
+
+def is_valid(frame, f):
+    """Validity of f over Up(frame): numpy over the last (up to) two
+    atoms, a Python loop over the rest. Returns (valid, first refuting
+    valuation, its 1-based lexicographic position or m**k if valid)."""
+    h = FiniteHeyting(frame)
+    names = atoms(f)
+    m = len(h)
+    k = len(names)
+    if k == 0:
+        ok = eval_formula(frame, {}, f) == frame.full_mask
+        return ok, None if ok else {}, 1
+    tables = h.tables()
+    bot_idx = h.index[h.bot]
+    top_idx = h.index[h.top]
+    inner = names[-2:] if k >= 2 else names[-1:]
+    outer = names[: k - len(inner)]
+    if len(inner) == 2:
+        grid = (np.arange(m).reshape(m, 1), np.arange(m).reshape(1, m))
+    else:
+        grid = (np.arange(m),)
+    checked = 0
+    for combo in itertools.product(range(m), repeat=len(outer)):
+        arrays = {name: np.int64(idx) for name, idx in zip(outer, combo)}
+        for name, g in zip(inner, grid):
+            arrays[name] = g
+        res = _eval_indices(f, arrays, tables, bot_idx, top_idx)
+        res = np.broadcast_to(res, (m,) * len(inner))
+        flat = res.reshape(-1)
+        bad = np.flatnonzero(flat != top_idx)
+        if bad.size:
+            first = int(bad[0])
+            inner_idx = np.unravel_index(first, (m,) * len(inner))
+            valuation = {name: h.carrier[idx] for name, idx in zip(outer, combo)}
+            for name, idx in zip(inner, inner_idx):
+                valuation[name] = h.carrier[int(idx)]
+            return False, valuation, checked + first + 1
+        checked += flat.size
+    return True, None, checked
+
+
+def find_frame_countermodel(f, max_size, max_depth=None):
+    """First refuting (frame, valuation) over every poset of sizes
+    1..max_size in enumerate_posets order, or None."""
+    for n in range(1, max_size + 1):
+        for frame in enumerate_posets(n, max_depth):
+            valid, valuation, _ = is_valid(frame, f)
+            if not valid:
+                return frame, valuation
+    return None

@@ -116,6 +116,41 @@ def test_complex_missing_arg_exits_2_with_usage(capsys, corpus_dir, action):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"elements": ["a", "b", "a"], "covers": [["a", "b"]]}',  # duplicate element
+    '{"elements": ["a", "b"]}',  # no covers
+    '{"elements": ["a", "b"], "covers": [["a", "b"]]',  # not JSON
+])
+def test_bad_poset_file_exits_2_with_one_line(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (["poset", "depth", str(bad)], ["frame", "check", "p | ~p", str(bad)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error") and err.count("\n") == 1
+
+
+def test_bad_complex_and_valuation_files_exit_2(capsys, corpus_dir, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, _, err = run(capsys, "complex", "dim", str(bad))
+    assert code == 2 and err.startswith("error") and err.count("\n") == 1
+    chain2 = tmp_path / "chain2.json"
+    chain2.write_text('{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+    not_up = tmp_path / "v.json"
+    not_up.write_text('{"p": ["a"]}')
+    for vfile in (bad, not_up):
+        code, _, err = run(capsys, "frame", "check", "p", str(chain2), "--valuation", str(vfile))
+        assert code == 2 and err.startswith("error") and err.count("\n") == 1
+
+
+def test_counter_reports_the_size_it_finished(capsys):
+    code, out, _ = run(capsys, "counter", "p->(q->(r->(s->(t->p))))", "--max-size", "6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "NoCountermodelUpToBound"
+    assert data["bounds"]["searched_size"] == 5
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "poset", "depth", "/nonexistent.json")
     assert code == 2 and "error" in err

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from polylogic.errors import ParseError
 from polylogic.formula import (
@@ -77,14 +77,21 @@ def test_parse_errors_carry_offsets(text, offset):
     assert exc.value.offset == offset
 
 
-_formulae = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([Atom("p"), Atom("q"), Atom("r2"), Bottom(), Top()]),
-        st.builds(And, _formulae, _formulae),
-        st.builds(Or, _formulae, _formulae),
-        st.builds(Implies, _formulae, _formulae),
-    )
+_formulae = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Atom("r2"), Bottom(), Top()]),
+    lambda sub: st.one_of(
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+    ),
+    max_leaves=20,
 )
+
+
+def _nodes(f) -> int:
+    if isinstance(f, (Atom, Bottom, Top)):
+        return 1
+    return 1 + _nodes(f.left) + _nodes(f.right)
 
 
 @settings(max_examples=50, deadline=None)
@@ -97,3 +104,19 @@ def test_print_parse_round_trip(f):
 @given(_formulae)
 def test_pretty_is_stable(f):
     assert pretty(parse(pretty(f))) == pretty(f)
+
+
+def test_strategy_reaches_thirteen_nodes():
+    # the round-trip tests above must keep covering formulas at least as
+    # large as the 13 nodes the earlier recursive strategy reached in 50
+    # examples; drawn here from a fixed seed so the check is deterministic
+    sizes = []
+
+    @seed(0)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(_formulae)
+    def draw(f):
+        sizes.append(_nodes(f))
+
+    draw()
+    assert len(sizes) >= 50 and max(sizes) >= 13

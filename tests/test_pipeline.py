@@ -1,6 +1,17 @@
-from polylogic import corpus
-from polylogic.algebra import eval_formula
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import polylogic
+from polylogic import corpus, pipeline, poset
+from polylogic.algebra import eval_formula, up_of_pmorphism
+from polylogic.errors import SoundnessError
 from polylogic.formula import bd, parse
+from polylogic.nerve import transfer_countermodel
 from polylogic.pipeline import (
     NO_COUNTERMODEL,
     REFUTED_ON_FRAME,
@@ -14,7 +25,7 @@ from polylogic.pipeline import (
     verify_ji,
     verify_nerve,
 )
-from polylogic.poset import enumerate_posets
+from polylogic.poset import MonotoneMap, enumerate_posets, from_covers
 
 
 def test_frame_countermodel_for_excluded_middle():
@@ -74,3 +85,60 @@ def test_report_lines_format():
     assert lines and all(line.startswith(("PASS", "FAIL")) for line in lines)
     j = rep.to_json()
     assert j["ok"] is True and j["suite"] == "dimbd"
+
+
+def test_budget_stops_the_search_at_the_last_full_size():
+    # the root below a 5-antichain has 33 up-sets: 33**5 valuations
+    f = parse("p -> (q -> (r -> (s -> (t -> p))))")
+    v = find_frame_countermodel(f, max_size=6)
+    assert v.status == NO_COUNTERMODEL
+    assert v.bounds["searched_size"] == 5
+    v = find_frame_countermodel(f, max_size=6, budget=1)
+    assert v.status == NO_COUNTERMODEL and v.bounds["searched_size"] == 0
+
+
+_BOGUS_COUNTER = """
+import sys
+from polylogic import pipeline
+from polylogic.algebra import ValidityResult
+from polylogic.cli import main
+pipeline.is_valid = lambda frame, f, **kw: ValidityResult(False, {"p": frame.full_mask}, 1)
+sys.exit(main(["counter", "p -> p", "--max-size", "2"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_soundness_error_exits_2_with_and_without_asserts(flags):
+    src = str(Path(polylogic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, *flags, "-c", _BOGUS_COUNTER],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("error: ")
+    assert "does not re-verify" in out.stderr
+
+
+def test_transfer_rejects_a_map_that_is_not_a_pmorphism(monkeypatch):
+    monkeypatch.setattr(poset, "is_pmorphism", lambda pm: (False, ("x", "y")))
+    a = from_covers(["a", "b"], [["a", "b"]])
+    with pytest.raises(SoundnessError):
+        transfer_countermodel(a, {"p": a.mask_of(["b"])}, parse("p | ~p"))
+
+
+def test_polyhedral_dimension_is_checked(monkeypatch):
+    real = pipeline.transfer_countermodel
+
+    def too_deep(a, valuation, f):
+        return dataclasses.replace(real(a, valuation, f), complex=corpus.simplex_complex(3))
+
+    monkeypatch.setattr(pipeline, "transfer_countermodel", too_deep)
+    with pytest.raises(SoundnessError):
+        polyhedral_countermodel(parse("p | ~p"), d=2, max_size=3)
+
+
+def test_dual_map_equations_are_checked(monkeypatch):
+    a = from_covers(["a", "b"], [["a", "b"]])
+    f = MonotoneMap(a, a, ("a", "b"))
+    monkeypatch.setattr(MonotoneMap, "preimage_mask", lambda self, m: 0)
+    with pytest.raises(SoundnessError):
+        up_of_pmorphism(f)
