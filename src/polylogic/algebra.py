@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    FrameTooLarge,
     MalformedInput,
     MissingAtom,
     NotPMorphism,
@@ -21,7 +22,7 @@ from .errors import (
     TrivialAlgebra,
 )
 from .formula import And, Atom, Bottom, Formula, Implies, Or, Top, atoms
-from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, is_pmorphism
+from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, is_name_list, is_pmorphism, json_object
 
 __all__ = [
     "FiniteHeyting",
@@ -186,7 +187,8 @@ def is_valid(
     order, up-sets in ascending bitmask order; the first refuting valuation
     in that order is returned, and ``checked`` is its 1-based position in
     that order (all m**k valuations when f is valid). Raises BudgetExceeded
-    before starting if the search space is larger than the budget.
+    before starting if the search space is larger than the budget, and
+    FrameTooLarge on atoms over a frame of more than 64 elements.
     """
     h = algebra if algebra is not None else FiniteHeyting(frame, cap)
     names = atoms(f)
@@ -198,6 +200,8 @@ def is_valid(
     if k == 0:
         val = eval_formula(frame, {}, f)
         return ValidityResult(val == frame.full_mask, None if val == frame.full_mask else {}, 1)
+    if len(h.frame) > 64:  # tables() holds up-sets as uint64 masks
+        raise FrameTooLarge(f"frame has {len(h.frame)} elements; is_valid handles at most 64")
     tables = h.tables()
     bot_idx = h.index[h.bot]
     top_idx = h.index[h.top]
@@ -229,29 +233,23 @@ def is_valid(
 
 
 def join_irreducibles(algebra) -> list[int]:
-    """Elements j != bot with j = a v b only trivially: j is not the join
-    of the carrier elements strictly below it. Ascending mask order."""
+    """Elements with exactly one lower cover, in ascending mask order.
+
+    The carrier must be all up-sets (or all down-sets) of a frame. Then a
+    carrier element v < u lies below u minus x for any x minimal (maximal)
+    in u \\ v, and that x is minimal (maximal) in u, so u minus x is in the
+    carrier. The lower covers of u are thus the carrier elements u minus
+    one point; u is join-irreducible iff there is exactly one.
+    """
     out = []
-    if len(algebra.frame) <= 63:
-        carrier = np.array(algebra.carrier, dtype=np.uint64)
-        for u in algebra.carrier:
-            if u == algebra.bot:
-                continue
-            uu = np.uint64(u)
-            strictly = ((carrier & ~uu) == 0) & (carrier != uu)
-            joined = int(np.bitwise_or.reduce(carrier[strictly])) if strictly.any() else 0
-            if joined != u:
-                out.append(u)
-    else:
-        for u in algebra.carrier:
-            if u == algebra.bot:
-                continue
-            joined = 0
-            for v in algebra.carrier:
-                if v != u and v & ~u == 0:
-                    joined |= v
-            if joined != u:
-                out.append(u)
+    for u in algebra.carrier:
+        covers, rest = 0, u
+        while rest and covers < 2:
+            low = rest & -rest
+            covers += u ^ low in algebra.index
+            rest ^= low
+        if covers == 1:
+            out.append(u)
     return out
 
 
@@ -364,8 +362,12 @@ def algebra_depth(algebra) -> int:
 # Valuation files
 
 
-def valuation_from_json(frame: Poset, data: dict) -> dict[str, int]:
-    """JSON valuation {"p0": ["b"], ...}; element lists must be up-sets."""
+def valuation_from_json(frame: Poset, data) -> dict[str, int]:
+    """JSON valuation {"p0": ["b"], ...}, given as a dict or as JSON text;
+    element lists must be up-sets. Malformed data raises MalformedInput."""
+    data = json_object(data)
+    if not all(is_name_list(v) for v in data.values()):
+        raise MalformedInput("valuation JSON must map atoms to lists of element names")
     out = {}
     for atom_name, members in data.items():
         mask = frame.mask_of(members)

@@ -19,7 +19,7 @@ from .algebra import (
     is_valid,
     valuation_from_json,
 )
-from .errors import MalformedInput, PolylogicError
+from .errors import PolylogicError
 from .formula import bd, parse, pretty
 from .pipeline import (
     decide_in_bd_logic,
@@ -44,13 +44,6 @@ from .simplicial import (
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
-
-
-def _load_json(path: str):
-    try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise MalformedInput(f"{path}: invalid JSON: {e}") from None
 
 
 def _emit(args, data, text: str | None = None):
@@ -101,7 +94,7 @@ def cmd_frame(args) -> int:
     f = parse(args.formula)
     frame = poset_from_json(_read(args.poset))
     if args.valuation:
-        v = valuation_from_json(frame, _load_json(args.valuation))
+        v = valuation_from_json(frame, _read(args.valuation))
         mask = eval_formula(frame, v, f)
         top = mask == frame.full_mask
         _emit(args, {"value": frame.names_of(mask), "top": top},
@@ -118,7 +111,7 @@ def cmd_frame(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    k = complex_from_json(_load_json(args.file))
+    k = complex_from_json(_read(args.file))
     if args.action == "build":
         _emit(args, complex_to_json(k),
               f"{len(k)} simplices: " + " ".join(k.name(s) for s in k.simplices))

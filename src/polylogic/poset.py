@@ -424,14 +424,17 @@ def _canonical_form(up, n) -> tuple[int, ...]:
 
 def enumerate_posets(n: int, max_depth: int | None = None):
     """All posets on n labelled elements x1..xn with depth <= max_depth,
-    one per isomorphism class, in deterministic order.
+    one per isomorphism class, in ascending canonical-form order.
 
-    Built by extending each (k-1)-element poset with a fresh element in
-    every consistent way, deduplicating by canonical form at each size.
+    Built size by size: each (k-1)-element poset is extended by a new
+    maximal element, and the results are deduplicated by canonical form.
+    This reaches every class: deleting a maximal element of a k-poset
+    leaves a (k-1)-poset, and it never raises depth, so every k-poset of
+    depth <= max_depth extends one kept at size k-1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    forms = {(1,)}  # canonical up-mask tuples on 1 element
+    forms = {(1,)} if max_depth is None or max_depth >= 0 else set()  # up-mask tuples
     for k in range(2, n + 1):
         nxt = set()
         for form in forms:
@@ -448,30 +451,12 @@ def enumerate_posets(n: int, max_depth: int | None = None):
 
 
 def _extensions(up, k):
-    """Extend a poset on k-1 elements (up-mask tuple) by a new element."""
+    """Extend a poset on k-1 elements (up-mask tuple) by a new maximal
+    element, one extension per down-set: the elements below it."""
     m = k - 1
     base = Poset([str(i) for i in range(m)], up, _trusted=True)
-    downsets = base.all_downsets()
-    upsets = base.all_upsets()
-    for d_mask in downsets:
-        for u_mask in upsets:
-            if d_mask & u_mask:
-                continue
-            ok = True
-            dm = d_mask
-            while dm and ok:
-                i = (dm & -dm).bit_length() - 1
-                if u_mask & ~up[i]:
-                    ok = False
-                dm &= dm - 1
-            if not ok:
-                continue
-            new_up = list(up)
-            for i in range(m):
-                if d_mask >> i & 1:
-                    new_up[i] |= 1 << m
-            new_up.append(u_mask | 1 << m)
-            yield tuple(new_up)
+    for d_mask in base.all_downsets():
+        yield tuple(u | (d_mask >> i & 1) << m for i, u in enumerate(up)) + (1 << m,)
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +467,29 @@ def poset_to_json(p: Poset) -> dict:
     return {"elements": list(p.elements), "covers": [list(c) for c in p.covers()]}
 
 
-def poset_from_json(data) -> Poset:
-    """Poset from {"elements": [...], "covers": [[a, b], ...]}, given as a
-    dict or as JSON text. Malformed data raises MalformedInput."""
+def json_object(data, *keys) -> dict:
+    """A JSON object holding keys, given as a dict or as JSON text, else MalformedInput."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as e:
             raise MalformedInput(f"invalid JSON: {e}") from None
-    if not isinstance(data, dict) or not {"elements", "covers"} <= data.keys():
-        raise MalformedInput('poset JSON needs "elements" and "covers"')
+    if not isinstance(data, dict) or not set(keys) <= data.keys():
+        raise MalformedInput("expected a JSON object" + "".join(f' with "{k}"' for k in keys))
+    return data
+
+
+def is_name_list(x) -> bool:
+    return isinstance(x, (list, tuple)) and all(isinstance(e, str) for e in x)
+
+
+def poset_from_json(data) -> Poset:
+    """Poset from {"elements": [...], "covers": [[a, b], ...]}, given as a
+    dict or as JSON text. Malformed data raises MalformedInput."""
+    data = json_object(data, "elements", "covers")
     elements, covers = data["elements"], data["covers"]
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    if not is_name_list(elements):
         raise MalformedInput('"elements" must be a list of strings')
-    if not isinstance(covers, list) or not all(
-        isinstance(c, (list, tuple)) and len(c) == 2 for c in covers
-    ):
-        raise MalformedInput('"covers" must be a list of [lower, upper] pairs')
+    if not isinstance(covers, list) or not all(is_name_list(c) and len(c) == 2 for c in covers):
+        raise MalformedInput('"covers" must be a list of [lower, upper] pairs of strings')
     return from_covers(elements, [tuple(c) for c in covers])

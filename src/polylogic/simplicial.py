@@ -16,7 +16,6 @@ member().
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,12 +25,13 @@ from .errors import (
     BadCoordinate,
     DimensionMismatch,
     DuplicateVertex,
+    MalformedInput,
     OutsideSupport,
     PolarityMismatch,
     UnknownSimplex,
     WrongDimension,
 )
-from .poset import Poset
+from .poset import Poset, is_name_list, json_object
 
 __all__ = [
     "Complex",
@@ -505,9 +505,15 @@ def sample_points(k: Complex, per_simplex: int, seed: int = 0):
 
 
 def complex_from_json(data) -> Complex:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return build_complex(data["vertices"], data["maximal"])
+    """Complex from {"vertices": {id: [coordinates]}, "maximal": [[ids]]},
+    given as a dict or as JSON text. Malformed data raises MalformedInput."""
+    data = json_object(data, "vertices", "maximal")
+    vertices, maximal = data["vertices"], data["maximal"]
+    if not isinstance(vertices, dict) or not all(isinstance(c, list) for c in vertices.values()):
+        raise MalformedInput('"vertices" must map vertex ids to coordinate lists')
+    if not isinstance(maximal, list) or not all(is_name_list(s) for s in maximal):
+        raise MalformedInput('"maximal" must be a list of lists of vertex ids')
+    return build_complex(vertices, maximal)
 
 
 def complex_to_json(k: Complex) -> dict:

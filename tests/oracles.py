@@ -11,6 +11,11 @@ Search: the countermodel search over every poset of each size, and the
 validity check that vectorises over the last two atoms only, as used
 before the search was restricted to rooted frames and the check to
 whole-batch grids.
+
+Order: the poset generator that added a new element with every
+compatible (down-set, up-set) pair before it added only maximal ones,
+and the all-pairs join-irreducible scan that ran before lower covers
+were read off the carrier.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from polylogic.algebra import FiniteHeyting, _eval_indices, eval_formula
 from polylogic.formula import atoms
-from polylogic.poset import enumerate_posets
+from polylogic.poset import Poset, _canonical_form, enumerate_posets
 
 
 def faces_of(k, key):
@@ -241,3 +246,51 @@ def find_frame_countermodel(f, max_size, max_depth=None):
             if not valid:
                 return frame, valuation
     return None
+
+
+def all_extensions(up, k):
+    """Extend a poset on k-1 elements (up-mask tuple) by a new element in
+    every compatible way: below a down-set d, above an up-set u."""
+    m = k - 1
+    base = Poset([str(i) for i in range(m)], up, _trusted=True)
+    for d_mask in base.all_downsets():
+        for u_mask in base.all_upsets():
+            if d_mask & u_mask:
+                continue
+            if any(d_mask >> i & 1 and u_mask & ~up[i] for i in range(m)):
+                continue
+            new_up = [u | 1 << m if d_mask >> i & 1 else u for i, u in enumerate(up)]
+            yield tuple(new_up) + (u_mask | 1 << m,)
+
+
+def enumerate_by_all_extensions(n, max_depth=None):
+    """Canonical up-mask tuples of every n-poset of depth <= max_depth,
+    built with all_extensions at each size, in ascending order."""
+    forms = {(1,)}
+    for k in range(2, n + 1):
+        nxt = set()
+        for form in forms:
+            for extended in all_extensions(form, k):
+                if max_depth is not None:
+                    p = Poset([f"t{i}" for i in range(k)], extended, _trusted=True)
+                    if p.depth() > max_depth:
+                        continue
+                nxt.add(_canonical_form(extended, k))
+        forms = nxt
+    return sorted(forms)
+
+
+def join_irreducibles(algebra):
+    """Carrier elements other than the bottom that are not the join of
+    the carrier elements strictly below them, in carrier order."""
+    out = []
+    for u in algebra.carrier:
+        if u == algebra.bot:
+            continue
+        joined = 0
+        for v in algebra.carrier:
+            if v != u and v & ~u == 0:
+                joined |= v
+        if joined != u:
+            out.append(u)
+    return out

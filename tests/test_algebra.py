@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import oracles
 from polylogic.algebra import (
     FiniteCoHeyting,
     FiniteHeyting,
@@ -14,6 +15,7 @@ from polylogic.algebra import (
     up_of_pmorphism,
     valuation_from_json,
 )
+from polylogic.corpus import corpus_complexes
 from polylogic.errors import BudgetExceeded, MissingAtom, TrivialAlgebra
 from polylogic.formula import bd, parse
 from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers
@@ -137,20 +139,14 @@ def test_join_irreducibles_of_upsets_are_principal():
 
 def test_join_irreducibles_oracle():
     # brute force: j is join-irreducible iff j != 0 and j is not the join
-    # of the elements strictly below it
-    for p in enumerate_posets(4):
-        h = FiniteHeyting(p)
-        expected = []
-        for j in h.carrier:
-            if j == 0:
-                continue
-            below = 0
-            for u in h.carrier:
-                if u != j and u | j == j:
-                    below |= u
-            if below != j:
-                expected.append(j)
-        assert join_irreducibles(h) == expected
+    # of the elements strictly below it; the 70-chain is wider than a
+    # uint64 mask
+    frames = list(enumerate_posets(4)) + [chain(70)]
+    frames += [k.face_poset() for k in corpus_complexes().values()
+               if len(FiniteHeyting(k.face_poset())) <= 167]
+    for p in frames:
+        for h in (FiniteHeyting(p), FiniteCoHeyting(p)):
+            assert join_irreducibles(h) == oracles.join_irreducibles(h)
 
 
 def test_spec_reverses_into_original_frame():

@@ -1,6 +1,12 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylogic.cli import main
 from polylogic.corpus import write_corpus
@@ -120,6 +126,7 @@ def test_complex_missing_arg_exits_2_with_usage(capsys, corpus_dir, action):
     '{"elements": ["a", "b", "a"], "covers": [["a", "b"]]}',  # duplicate element
     '{"elements": ["a", "b"]}',  # no covers
     '{"elements": ["a", "b"], "covers": [["a", "b"]]',  # not JSON
+    '{"elements": ["a", "b"], "covers": [[["a"], "b"]]}',  # cover not a pair of names
 ])
 def test_bad_poset_file_exits_2_with_one_line(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
@@ -129,18 +136,73 @@ def test_bad_poset_file_exits_2_with_one_line(capsys, tmp_path, text):
         assert code == 2 and err.startswith("error") and err.count("\n") == 1
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _chain_file(path, n):
+    names = [f"e{i}" for i in range(n)]
+    return _write(path, json.dumps({"elements": names, "covers": list(zip(names, names[1:]))}))
+
+
 def test_bad_complex_and_valuation_files_exit_2(capsys, corpus_dir, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    code, _, err = run(capsys, "complex", "dim", str(bad))
-    assert code == 2 and err.startswith("error") and err.count("\n") == 1
-    chain2 = tmp_path / "chain2.json"
-    chain2.write_text('{"elements": ["a", "b"], "covers": [["a", "b"]]}')
-    not_up = tmp_path / "v.json"
-    not_up.write_text('{"p": ["a"]}')
-    for vfile in (bad, not_up):
+    bad = _write(tmp_path / "bad.json", "{")
+    chain2 = _write(tmp_path / "chain2.json", '{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+    complexes = [
+        bad,
+        chain2,  # a poset file
+        _write(tmp_path / "no_maximal.json", '{"vertices": {"a": [0]}}'),
+        _write(tmp_path / "list.json", "[1]"),
+        _write(tmp_path / "coords.json", '{"vertices": {"a": 5}, "maximal": [["a"]]}'),
+    ]
+    for cfile in complexes:
+        code, _, err = run(capsys, "complex", "dim", str(cfile))
+        assert code == 2 and err.startswith("error") and err.count("\n") == 1
+    not_up = _write(tmp_path / "v.json", '{"p": ["a"]}')
+    as_list = _write(tmp_path / "list_v.json", '["a"]')
+    for vfile in (bad, not_up, as_list):
         code, _, err = run(capsys, "frame", "check", "p", str(chain2), "--valuation", str(vfile))
         assert code == 2 and err.startswith("error") and err.count("\n") == 1
+
+
+def test_frame_check_handles_64_elements_and_refuses_65(capsys, tmp_path):
+    c64, c65 = _chain_file(tmp_path / "c64.json", 64), _chain_file(tmp_path / "c65.json", 65)
+    code, out, _ = run(capsys, "frame", "check", "p | ~p", str(c64))
+    assert code == 1 and out.strip() == "Refuted with p={e63}"
+    code, _, err = run(capsys, "frame", "check", "p | ~p", str(c65))
+    assert code == 2 and err.startswith("error") and err.count("\n") == 1
+    assert "65 elements" in err and "64" in err
+
+
+_names = st.sampled_from(["a", "b", "p", "elements", "covers", "vertices", "maximal"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3) | _names,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_names | st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+def test_malformed_files_exit_0_1_or_2(value):
+    # whatever JSON a file holds, the CLI answers or exits 2; it never
+    # lets an exception escape
+    with tempfile.TemporaryDirectory() as d:
+        data = os.path.join(d, "data.json")
+        chain2 = os.path.join(d, "chain2.json")
+        with open(data, "w") as fh:
+            json.dump(value, fh)
+        with open(chain2, "w") as fh:
+            fh.write('{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+        for argv in (
+            ["poset", "depth", data],
+            ["complex", "dim", data],
+            ["frame", "check", "p", chain2, "--valuation", data],
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)
 
 
 def test_counter_reports_the_size_it_finished(capsys):

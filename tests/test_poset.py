@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from oracles import enumerate_by_all_extensions
 
+from polylogic import poset
 from polylogic.errors import CapExceeded, CycleError, NotMonotone, UnknownElement
 from polylogic.poset import (
     MonotoneMap,
@@ -186,6 +188,33 @@ def test_enumeration_depth_filter():
     assert all(p.depth() <= 1 for p in enumerate_posets(4, max_depth=1))
     flat = list(enumerate_posets(3, max_depth=0))
     assert len(flat) == 1  # the antichain
+    assert list(enumerate_posets(1, max_depth=-1)) == []
+    assert list(enumerate_posets(3, max_depth=-1)) == []
+
+
+@pytest.mark.parametrize(
+    "n, depths", [(n, (None, 0, 1, 2, 3)) for n in range(1, 7)] + [(7, (None,))]
+)
+def test_enumeration_matches_all_extensions_oracle(n, depths):
+    # adding only maximal elements gives the same classes in the same order
+    for d in depths:
+        assert [p.up for p in enumerate_posets(n, d)] == enumerate_by_all_extensions(n, d)
+
+
+@pytest.mark.parametrize("n, max_depth, forms", [(7, None, 6377), (6, 2, 751)])
+def test_enumeration_canonical_form_count(monkeypatch, n, max_depth, forms):
+    # one extension per down-set; a new element in every compatible
+    # (down-set, up-set) pair makes 18 709 and 1 806 forms here
+    canonical_form = poset._canonical_form
+    calls = []
+
+    def counting(up, k):
+        calls.append(k)
+        return canonical_form(up, k)
+
+    monkeypatch.setattr(poset, "_canonical_form", counting)
+    list(enumerate_posets(n, max_depth))
+    assert len(calls) == forms
 
 
 # ---------------------------------------------------------------------------
