@@ -3,18 +3,21 @@
 Carriers are sorted lists of bitmasks over the base frame's canonical
 element order, so the canonical enumeration order is ascending integers
 and the top element is always the last carrier entry.
+
+is_valid is bit-sliced: a subformula's value at a frame point is one int
+whose bit b is its value when the last r atoms take the carrier indices
+written by the base-m digits of b.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import and_, or_
 
 from .errors import (
     BudgetExceeded,
-    FrameTooLarge,
     MalformedInput,
     MissingAtom,
     NotPMorphism,
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
-_BATCH = 1 << 16  # valuations per vectorised step of is_valid
+_BATCH = 1 << 16  # valuations per bit-sliced pass of is_valid
 
 
 class FiniteHeyting:
@@ -76,21 +79,12 @@ class FiniteHeyting:
     def neg(self, u: int) -> int:
         return self.imp(u, 0)
 
-    # Operation tables over carrier indices, built on demand for the
-    # vectorised validity search.
-    def tables(self):
+    # Membership columns, built on demand for is_valid: bit v of column i
+    # is set iff point i lies in carrier[v].
+    def tables(self) -> list[int]:
         if self._tables is None:
-            c = np.array(self.carrier, dtype=np.uint64)
-            m = len(c)
-            meet = c[:, None] & c[None, :]
-            join = c[:, None] | c[None, :]
-            imp = np.zeros((m, m), dtype=np.uint64)
-            for i, upmask in enumerate(self.frame.up):
-                ua = np.uint64(upmask)
-                ok = (c[:, None] & ua & ~c[None, :]) == 0
-                imp |= ok.astype(np.uint64) << np.uint64(i)
-            to_idx = lambda masks: np.searchsorted(c, masks).astype(np.int64)
-            self._tables = (to_idx(meet), to_idx(join), to_idx(imp))
+            self._tables = [sum(1 << v for v, u in enumerate(self.carrier) if u >> i & 1)
+                            for i in range(len(self.frame))]
         return self._tables
 
 
@@ -157,21 +151,37 @@ class ValidityResult:
         return self.valid
 
 
-def _eval_indices(f: Formula, arrays, tables, bot_idx, top_idx):
-    meet_t, join_t, imp_t = tables
+def _pattern(col: int, m: int, width: int, count: int) -> int:
+    """Bit b is bit (b // width) % m of col: each bit of col widened into a
+    run of width bits, and the m*width-bit block tiled count times."""
+    run, out = (1 << width) - 1, col if width == 1 else 0
+    while width > 1 and col:
+        low = col & -col
+        out |= run << width * (low.bit_length() - 1)
+        col ^= low
+    have = 1
+    while have < count:  # doubling: copies [0, have) and [step, step + have)
+        step = min(have, count - have)
+        out |= out << step * m * width
+        have += step
+    return out
+
+
+def _eval_sliced(f: Formula, env, ups, ones) -> list[int]:
+    """f at every frame point; bit b of each int is its value under the
+    b-th valuation of the batch."""
     if isinstance(f, Atom):
-        return arrays[f.name]
-    if isinstance(f, Bottom):
-        return bot_idx
-    if isinstance(f, Top):
-        return top_idx
-    a = _eval_indices(f.left, arrays, tables, bot_idx, top_idx)
-    b = _eval_indices(f.right, arrays, tables, bot_idx, top_idx)
+        return env[f.name]
+    if isinstance(f, (Bottom, Top)):
+        return [ones if isinstance(f, Top) else 0] * len(ups)
+    a = _eval_sliced(f.left, env, ups, ones)
+    b = _eval_sliced(f.right, env, ups, ones)
     if isinstance(f, And):
-        return meet_t[a, b]
+        return [x & y for x, y in zip(a, b)]
     if isinstance(f, Or):
-        return join_t[a, b]
-    return imp_t[a, b]
+        return [x | y for x, y in zip(a, b)]
+    fails = [x & ~y for x, y in zip(a, b)]  # a -> b fails at i iff fails above i
+    return [ones ^ reduce(or_, map(fails.__getitem__, up)) for up in ups]
 
 
 def is_valid(
@@ -187,8 +197,12 @@ def is_valid(
     order, up-sets in ascending bitmask order; the first refuting valuation
     in that order is returned, and ``checked`` is its 1-based position in
     that order (all m**k valuations when f is valid). Raises BudgetExceeded
-    before starting if the search space is larger than the budget, and
-    FrameTooLarge on atoms over a frame of more than 64 elements.
+    before starting if the search space is larger than the budget.
+
+    The last r atoms, the longest suffix with m**r <= _BATCH, are checked
+    in one pass per choice for the others: bit b gives them the base-m
+    digits of b, the first atom's most significant. Bit order is then
+    lexicographic, so the lowest 0 bit at any point is the first refutation.
     """
     h = algebra if algebra is not None else FiniteHeyting(frame, cap)
     names = atoms(f)
@@ -197,34 +211,25 @@ def is_valid(
     total = m**k
     if total > budget:
         raise BudgetExceeded(total)
-    if k == 0:
-        val = eval_formula(frame, {}, f)
-        return ValidityResult(val == frame.full_mask, None if val == frame.full_mask else {}, 1)
-    if len(h.frame) > 64:  # tables() holds up-sets as uint64 masks
-        raise FrameTooLarge(f"frame has {len(h.frame)} elements; is_valid handles at most 64")
-    tables = h.tables()
-    bot_idx = h.index[h.bot]
-    top_idx = h.index[h.top]
-    # Vectorise over the longest suffix of atoms whose valuation grid fits
-    # in one batch, and at least the last two; loop over the rest. The
-    # C-order flat index of the grid is lexicographic in the inner atoms.
-    r = min(k, 2)
+    r = 0
     while r < k and m ** (r + 1) <= _BATCH:
         r += 1
     inner, outer = names[k - r:], names[: k - r]
-    shape = (m,) * r
-    grid = [np.arange(m).reshape([m if i == j else 1 for i in range(r)]) for j in range(r)]
+    size = m**r
+    ones = (1 << size) - 1
+    n = len(h.frame)
+    ups = [[j for j in range(n) if up >> j & 1] for up in h.frame.up]
+    env = {name: [_pattern(col, m, m ** (r - 1 - j), m**j) for col in h.tables()]
+           for j, name in enumerate(inner)}
+    fixed = [[ones if u >> i & 1 else 0 for i in range(n)] for u in h.carrier] if outer else []
     for done, combo in enumerate(itertools.product(range(m), repeat=len(outer))):
-        arrays = {name: np.int64(idx) for name, idx in zip(outer, combo)}
-        arrays.update(zip(inner, grid))
-        res = _eval_indices(f, arrays, tables, bot_idx, top_idx)
-        bad = np.flatnonzero(np.broadcast_to(res, shape) != top_idx)
-        if bad.size:
-            first = int(bad[0])
-            valuation = {name: h.carrier[idx] for name, idx in zip(outer, combo)}
-            for name, idx in zip(inner, np.unravel_index(first, shape)):
-                valuation[name] = h.carrier[int(idx)]
-            return ValidityResult(False, valuation, done * m**r + first + 1)
+        env.update(zip(outer, (fixed[v] for v in combo)))
+        miss = ones ^ reduce(and_, _eval_sliced(f, env, ups, ones), ones)
+        if miss:
+            first = (miss & -miss).bit_length() - 1
+            chosen = list(combo) + [first // m ** (r - 1 - j) % m for j in range(r)]
+            valuation = {name: h.carrier[v] for name, v in zip(names, chosen)}
+            return ValidityResult(False, valuation, done * size + first + 1)
     return ValidityResult(True, None, total)
 
 

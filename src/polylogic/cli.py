@@ -8,6 +8,7 @@ see --expect), 2 = error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -200,6 +201,7 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="polylogic")
     ap.add_argument("--json", action="store_true", help="JSON output where applicable")

@@ -48,10 +48,6 @@ class BudgetExceeded(PolylogicError):
         super().__init__(f"evaluation budget exceeded: {count} valuations required")
 
 
-class FrameTooLarge(PolylogicError):
-    """A frame beyond the 64-element limit of the validity tables."""
-
-
 class MissingAtom(PolylogicError):
     def __init__(self, name):
         self.name = name

@@ -50,9 +50,16 @@ SimplexKey = tuple[str, ...]  # sorted vertex ids
 
 
 def parse_rational(s) -> Fraction:
-    """Exact value of an int or of a decimal or fraction string."""
+    """Exact value of an int or of a decimal or fraction string. A decimal
+    exponent over 4300 in magnitude, Python's default limit on decimal
+    digit strings, is refused: building 10**e takes time quadratic in e."""
+    if isinstance(s, int):
+        return Fraction(s)
+    _, e, exponent = str(s).lower().rpartition("e")  # only an exponent holds an e
     try:
-        return Fraction(s) if isinstance(s, int) else Fraction(str(s))
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError(s)
+        return Fraction(str(s))
     except (ValueError, ZeroDivisionError):
         raise BadCoordinate(s) from None
 

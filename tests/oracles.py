@@ -10,7 +10,9 @@ vertex-set inclusion only.
 Search: the countermodel search over every poset of each size, and the
 validity check that vectorises over the last two atoms only, as used
 before the search was restricted to rooted frames and the check to
-whole-batch grids.
+whole-batch grids. It runs on the numpy operation tables over carrier
+indices that the program used before validity became bit-sliced, so it
+holds frames of at most 64 elements.
 
 Order: the poset generator that added a new element with every
 compatible (down-set, up-set) pair before it added only maximal ones,
@@ -25,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from polylogic.algebra import FiniteHeyting, _eval_indices, eval_formula
-from polylogic.formula import atoms
+from polylogic.algebra import FiniteHeyting, eval_formula
+from polylogic.formula import And, Atom, Bottom, Or, Top, atoms
 from polylogic.poset import Poset, _canonical_form, enumerate_posets
 
 
@@ -197,6 +199,40 @@ def verify_complex_violations(k):
     return bad
 
 
+def operation_tables(h):
+    """Meet, join and implication tables over carrier indices of the
+    Heyting algebra h, as int64 arrays of shape (m, m)."""
+    c = np.array(h.carrier, dtype=np.uint64)
+    m = len(c)
+    meet = c[:, None] & c[None, :]
+    join = c[:, None] | c[None, :]
+    imp = np.zeros((m, m), dtype=np.uint64)
+    for i, upmask in enumerate(h.frame.up):
+        ua = np.uint64(upmask)
+        ok = (c[:, None] & ua & ~c[None, :]) == 0
+        imp |= ok.astype(np.uint64) << np.uint64(i)
+    to_idx = lambda masks: np.searchsorted(c, masks).astype(np.int64)
+    return to_idx(meet), to_idx(join), to_idx(imp)
+
+
+def eval_indices(f, arrays, tables, bot_idx, top_idx):
+    """f over carrier-index arrays, one table lookup per connective."""
+    meet_t, join_t, imp_t = tables
+    if isinstance(f, Atom):
+        return arrays[f.name]
+    if isinstance(f, Bottom):
+        return bot_idx
+    if isinstance(f, Top):
+        return top_idx
+    a = eval_indices(f.left, arrays, tables, bot_idx, top_idx)
+    b = eval_indices(f.right, arrays, tables, bot_idx, top_idx)
+    if isinstance(f, And):
+        return meet_t[a, b]
+    if isinstance(f, Or):
+        return join_t[a, b]
+    return imp_t[a, b]
+
+
 def is_valid(frame, f):
     """Validity of f over Up(frame): numpy over the last (up to) two
     atoms, a Python loop over the rest. Returns (valid, first refuting
@@ -208,7 +244,7 @@ def is_valid(frame, f):
     if k == 0:
         ok = eval_formula(frame, {}, f) == frame.full_mask
         return ok, None if ok else {}, 1
-    tables = h.tables()
+    tables = operation_tables(h)
     bot_idx = h.index[h.bot]
     top_idx = h.index[h.top]
     inner = names[-2:] if k >= 2 else names[-1:]
@@ -222,7 +258,7 @@ def is_valid(frame, f):
         arrays = {name: np.int64(idx) for name, idx in zip(outer, combo)}
         for name, g in zip(inner, grid):
             arrays[name] = g
-        res = _eval_indices(f, arrays, tables, bot_idx, top_idx)
+        res = eval_indices(f, arrays, tables, bot_idx, top_idx)
         res = np.broadcast_to(res, (m,) * len(inner))
         flat = res.reshape(-1)
         bad = np.flatnonzero(flat != top_idx)

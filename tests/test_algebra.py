@@ -119,6 +119,16 @@ def test_validity_checked_counts():
     assert res.valid and res.checked == 3  # |Up(2-chain)| = 3, one atom
 
 
+def test_is_valid_past_64_elements():
+    c70 = chain(70)
+    res = is_valid(c70, parse("p | ~p"))
+    assert not res.valid and res.valuation == {"p": c70.mask_of(["c69"])} and res.checked == 2
+    names = [f"{x}{i}" for x in "ab" for i in range(40)]
+    two = from_covers(names, [[f"{x}{i}", f"{x}{i + 1}"] for x in "ab" for i in range(39)])
+    res = is_valid(two, parse("(p -> q) | (q -> p)"))
+    assert res.valid and res.checked == 1681**2  # 41 * 41 up-sets
+
+
 def test_bd_validity_matches_depth():
     # frame validates bd(d) iff its depth is <= d
     for n in range(1, 5):

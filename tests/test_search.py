@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polylogic import pipeline
-from polylogic.algebra import eval_formula, is_valid
+from polylogic import algebra, pipeline
+from polylogic.algebra import FiniteHeyting, eval_formula, is_valid
 from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, bd, parse
 from polylogic.pipeline import NO_COUNTERMODEL, find_frame_countermodel
-from polylogic.poset import enumerate_posets
+from polylogic.poset import Poset, enumerate_posets
 
 SMALL_FRAMES = [p for n in range(1, 5) for p in enumerate_posets(n)]
 
@@ -69,6 +69,34 @@ def test_batched_is_valid_on_named_formulas():
     for frame in SMALL_FRAMES:
         res = is_valid(frame, bd(3))
         assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, bd(3))
+
+
+# k = 0, 1 and 2 atoms, 3-atom theorems that need every valuation, and a
+# 4-atom formula whose first refutation lies past m**3 valuations
+EDGE_FORMULAS = [parse(t) for t in [
+    "true", "false", "p | ~p", "~p | ~~p", "(p -> q) | (q -> p)", "((p -> q) -> p) -> p",
+    "p -> (q -> p)", "(p -> r) -> (q -> r) -> (p | q -> r)", "p & q & r -> s",
+]] + [bd(2)]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 64, None])
+def test_is_valid_across_batch_sizes(monkeypatch, batch):
+    # batch None: exactly m**2, so the last two atoms fill one batch; a
+    # batch of 1 loops over every valuation, r = 0
+    for frame in SMALL_FRAMES:
+        m = len(FiniteHeyting(frame))
+        monkeypatch.setattr(algebra, "_BATCH", batch or m * m)
+        for f in EDGE_FORMULAS:
+            res = is_valid(frame, f)
+            assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
+
+
+def test_is_valid_on_a_ten_antichain():
+    frame = Poset([f"a{i}" for i in range(10)], [1 << i for i in range(10)])
+    for text in ["p | ~p", "~p | ~~p", "(p -> q) | (q -> p)", "p -> (q -> p)"]:
+        f = parse(text)
+        res = is_valid(frame, f)
+        assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
 
 
 def test_search_checks_only_rooted_frames(monkeypatch):

@@ -5,6 +5,7 @@ from oracles import cofaces_of, faces_of
 
 from polylogic.errors import (
     AffinelyDependent,
+    BadCoordinate,
     DimensionMismatch,
     DuplicateVertex,
     OutsideSupport,
@@ -44,6 +45,14 @@ def test_parse_rational():
     assert parse_rational("1/3") == F(1, 3)
     assert parse_rational("-2") == F(-2)
     assert parse_rational(5) == F(5)
+
+
+def test_parse_rational_bounds_the_exponent():
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("2.5E-4_300") == F(5, 2 * 10**4300)
+    for text in ["1e4301", "1E+4_301", "-3e-100000", " 1e1000000 ", "1e" + "9" * 5000]:
+        with pytest.raises(BadCoordinate):
+            parse_rational(text)
 
 
 def test_barycentric_coordinates_exact():
