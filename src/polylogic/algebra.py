@@ -64,20 +64,8 @@ class FiniteHeyting:
     def __len__(self):
         return len(self.carrier)
 
-    def leq(self, u: int, v: int) -> bool:
-        return u & ~v == 0
-
-    def meet(self, u: int, v: int) -> int:
-        return u & v
-
-    def join(self, u: int, v: int) -> int:
-        return u | v
-
     def imp(self, u: int, v: int) -> int:
         return self.frame.imp(u, v)
-
-    def neg(self, u: int) -> int:
-        return self.imp(u, 0)
 
     # Membership columns, built on demand for is_valid: bit v of column i
     # is set iff point i lies in carrier[v].
@@ -102,20 +90,8 @@ class FiniteCoHeyting:
     def __len__(self):
         return len(self.carrier)
 
-    def leq(self, u: int, v: int) -> bool:
-        return u & ~v == 0
-
-    def meet(self, u: int, v: int) -> int:
-        return u & v
-
-    def join(self, u: int, v: int) -> int:
-        return u | v
-
     def co_imp(self, c: int, d: int) -> int:
         return self.frame.down_closure(c & ~d)
-
-    def co_neg(self, d: int) -> int:
-        return self.co_imp(self.top, d)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +241,10 @@ def spec(algebra) -> Poset:
     filter of a join-irreducible generator, and filter inclusion reverses
     the generator order.
     """
-    jis = join_irreducibles(algebra)
-    frame = algebra.frame
+    return _spectrum(algebra.frame, join_irreducibles(algebra))
+
+
+def _spectrum(frame: Poset, jis: list[int]) -> Poset:
     names = []
     for j in jis:
         members = frame.names_of(j)
@@ -281,6 +259,24 @@ def spec(algebra) -> Poset:
                 mask |= 1 << k
         up.append(mask)
     return Poset(names, up)
+
+
+def _hom_failures(mapping: dict[int, int], src: Poset, dst: Poset) -> list:
+    """Where mapping, from all of Up(src) into Up(dst), fails to preserve the
+    bounds ("bounds not preserved"), then each (operation, u, v) that fails."""
+    out = []
+    if mapping[0] != 0 or mapping[src.full_mask] != dst.full_mask:
+        out.append("bounds not preserved")
+    for u, v in itertools.product(mapping, repeat=2):
+        fu, fv = mapping[u], mapping[v]
+        for opname, have, want in (
+            ("meet", mapping[u & v], fu & fv),
+            ("join", mapping[u | v], fu | fv),
+            ("imp", mapping[src.imp(u, v)], dst.imp(fu, fv)),
+        ):
+            if have != want:
+                out.append((opname, u, v))
+    return out
 
 
 @dataclass
@@ -298,8 +294,8 @@ def stone_map(h: FiniteHeyting):
     """The map u -> {prime filters containing u}, as a dict from carrier
     masks of h to up-set masks of spec(h), plus a verification report
     that it is a bijective Heyting homomorphism."""
-    sp = spec(h)
     jis = join_irreducibles(h)
+    sp = _spectrum(h.frame, jis)
     mapping = {}
     for u in h.carrier:
         mask = 0
@@ -307,52 +303,29 @@ def stone_map(h: FiniteHeyting):
             if j & ~u == 0:  # j <= u, i.e. u is in the filter generated by j
                 mask |= 1 << k
         mapping[u] = mask
-    report = StoneReport(bijective=True, homomorphism=True)
     target = FiniteHeyting(sp)
-    if sorted(mapping.values()) != target.carrier:
-        report.bijective = False
-        report.failures.append("image is not all of Up(Spec H)")
-    if mapping[h.bot] != target.bot or mapping[h.top] != target.top:
-        report.homomorphism = False
-        report.failures.append("bounds not preserved")
-    for u, v in itertools.product(h.carrier, repeat=2):
-        for opname, op, top_op in (
-            ("meet", h.meet, target.meet),
-            ("join", h.join, target.join),
-            ("imp", h.imp, target.imp),
-        ):
-            if mapping[op(u, v)] != top_op(mapping[u], mapping[v]):
-                report.homomorphism = False
-                report.failures.append((opname, u, v))
-    return mapping, sp, report
+    bijective = sorted(mapping.values()) == target.carrier
+    failures = [] if bijective else ["image is not all of Up(Spec H)"]
+    hom_failures = _hom_failures(mapping, h.frame, sp)
+    return mapping, sp, StoneReport(bijective, not hom_failures, failures + hom_failures)
 
 
-def up_of_pmorphism(f: MonotoneMap, check: bool = True):
+def up_of_pmorphism(f: MonotoneMap):
     """Dual homomorphism Up(B) -> Up(A) of a p-morphism f: A -> B, as a
     dict from Up(B) masks to Up(A) masks (preimage).
 
-    With check=True the Heyting homomorphism equations are verified on
-    all pairs, and injectivity is verified when f is surjective.
+    The Heyting homomorphism equations are verified on all pairs, and
+    injectivity is verified when f is surjective.
     """
     ok, witness = is_pmorphism(f)
     if not ok:
         raise NotPMorphism(f"not a p-morphism, witness {witness}")
-    hb = FiniteHeyting(f.cod)
-    mapping = {u: f.preimage_mask(u) for u in hb.carrier}
-    if check:
-        ha = FiniteHeyting(f.dom)
-        for u, v in itertools.product(hb.carrier, repeat=2):
-            for opname, op_b, op_a in (
-                ("meet", hb.meet, ha.meet),
-                ("join", hb.join, ha.join),
-                ("imp", hb.imp, ha.imp),
-            ):
-                if mapping[op_b(u, v)] != op_a(mapping[u], mapping[v]):
-                    raise SoundnessError(f"dual map does not preserve {opname} on {u}, {v}")
-        if mapping[hb.bot] != ha.bot or mapping[hb.top] != ha.top:
-            raise SoundnessError("dual map does not preserve the bounds")
-        if f.is_surjective() and len(set(mapping.values())) != len(mapping):
-            raise SoundnessError("dual map of a surjective p-morphism is not injective")
+    mapping = {u: f.preimage_mask(u) for u in FiniteHeyting(f.cod).carrier}
+    failures = _hom_failures(mapping, f.cod, f.dom)
+    if failures:
+        raise SoundnessError(f"dual map is not a Heyting homomorphism: {failures[0]}")
+    if f.is_surjective() and len(set(mapping.values())) != len(mapping):
+        raise SoundnessError("dual map of a surjective p-morphism is not injective")
     return mapping
 
 

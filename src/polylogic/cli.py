@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .algebra import (
@@ -20,7 +19,7 @@ from .algebra import (
     is_valid,
     valuation_from_json,
 )
-from .errors import PolylogicError
+from .errors import MalformedInput, PolylogicError
 from .formula import bd, parse, pretty
 from .pipeline import (
     decide_in_bd_logic,
@@ -32,7 +31,7 @@ from .pipeline import (
     verify_ji,
     verify_nerve,
 )
-from .poset import DEFAULT_UPSET_CAP, poset_from_json, poset_to_json
+from .poset import DEFAULT_UPSET_CAP, poset_from_json, poset_to_json, read_text
 from .simplicial import (
     complex_from_json,
     complex_to_json,
@@ -40,11 +39,6 @@ from .simplicial import (
     parse_rational,
     verify_complex,
 )
-
-
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
 
 
 def _emit(args, data, text: str | None = None):
@@ -73,7 +67,11 @@ def _ast(f) -> str:
 
 def cmd_formula(args) -> int:
     if args.action == "bd":
-        print(pretty(bd(int(args.arg))))
+        try:
+            d = int(args.arg)
+        except ValueError:
+            raise MalformedInput(f"bd index must be an integer, not {args.arg!r}") from None
+        print(pretty(bd(d)))
     elif args.action == "parse":
         print(_ast(parse(args.arg)))
     else:  # print
@@ -82,7 +80,7 @@ def cmd_formula(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    p = poset_from_json(_read(args.file))
+    p = poset_from_json(read_text(args.file))
     if args.action == "depth":
         print(p.depth())
     else:  # upsets
@@ -93,9 +91,9 @@ def cmd_poset(args) -> int:
 
 def cmd_frame(args) -> int:
     f = parse(args.formula)
-    frame = poset_from_json(_read(args.poset))
+    frame = poset_from_json(read_text(args.poset))
     if args.valuation:
-        v = valuation_from_json(frame, _read(args.valuation))
+        v = valuation_from_json(frame, read_text(args.valuation))
         mask = eval_formula(frame, v, f)
         top = mask == frame.full_mask
         _emit(args, {"value": frame.names_of(mask), "top": top},
@@ -112,7 +110,7 @@ def cmd_frame(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    k = complex_from_json(_read(args.file))
+    k = complex_from_json(read_text(args.file))
     if args.action == "build":
         _emit(args, complex_to_json(k),
               f"{len(k)} simplices: " + " ".join(k.name(s) for s in k.simplices))
@@ -135,7 +133,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    p = poset_from_json(_read(args.file))
+    p = poset_from_json(read_text(args.file))
     from .nerve import realize
 
     k = realize(p)
@@ -275,10 +273,7 @@ def main(argv=None) -> int:
         args.depth = args.max_size  # any depth reachable at that size
     try:
         return args.func(args)
-    except PolylogicError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (PolylogicError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

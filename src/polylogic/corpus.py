@@ -14,7 +14,7 @@ import json
 import os
 import string
 
-from .poset import Poset, enumerate_posets, poset_to_json
+from .poset import Poset, enumerate_posets, poset_to_json, read_text
 from .simplicial import Complex, build_complex, complex_from_json, complex_to_json
 
 __all__ = [
@@ -96,6 +96,6 @@ def load_corpus_complexes(directory: str) -> dict[str, Complex]:
     out = {}
     for fname in sorted(os.listdir(directory)):
         if fname.endswith(".complex.json"):
-            with open(os.path.join(directory, fname)) as fh:
-                out[fname[: -len(".complex.json")]] = complex_from_json(json.load(fh))
+            text = read_text(os.path.join(directory, fname))
+            out[fname[: -len(".complex.json")]] = complex_from_json(text)
     return out

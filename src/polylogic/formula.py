@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import MalformedInput, ParseError
 
 __all__ = [
     "Formula", "Atom", "Bottom", "Top", "And", "Or", "Implies",
@@ -218,7 +218,7 @@ def pretty(f: Formula) -> str:
 def bd(d: int) -> Formula:
     """Bounded-depth axiom of index d, over atoms p0..pd."""
     if d < 0:
-        raise ValueError("bd index must be >= 0")
+        raise MalformedInput("bd index must be >= 0")
     f = Or(Atom("p0"), neg(Atom("p0")))
     for k in range(1, d + 1):
         a = Atom(f"p{k}")

@@ -3,13 +3,13 @@ vectors, the max-element p-morphism, and countermodel transfer."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import poset
 from .errors import EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
-from .poset import MonotoneMap, Poset, from_covers
+from .poset import MonotoneMap, Poset
 from .simplicial import Complex, DefinableSet, build_complex, complex_to_json
 
 __all__ = [
@@ -21,77 +21,68 @@ __all__ = [
 ]
 
 
-def _chains(a: Poset) -> list[tuple[int, ...]]:
-    """All nonempty chains, as sorted tuples of element indices."""
-    n = len(a)
+def _chains(a: Poset) -> list[int]:
+    """All nonempty chains as element masks, in ascending order of their
+    sorted index tuples: each chain is followed by its extensions by a
+    larger index comparable to every element of it."""
+    if len(a) == 0:
+        raise EmptyPoset("the empty poset has no nonempty chains")
     out = []
 
-    def extend(chain, last):
-        out.append(tuple(chain))
-        for j in range(n):
-            if j != last and a.up[last] >> j & 1:
-                chain.append(j)
-                extend(chain, j)
-                chain.pop()
+    def extend(chain, comparable, last):
+        out.append(chain)
+        rest = comparable >> last + 1 << last + 1
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            extend(chain | 1 << j, comparable & (a.up[j] | a.down[j]), j)
+            rest &= rest - 1
 
-    for i in range(n):
-        extend([i], i)
-    return sorted(set(tuple(sorted(c)) for c in out))
+    for i in range(len(a)):
+        extend(1 << i, a.up[i] | a.down[i], i)
+    return out
 
 
-def _chain_name(a: Poset, chain: tuple[int, ...]) -> str:
-    names = sorted(a.elements[i] for i in chain)
+def _chain_name(a: Poset, chain: int) -> str:
+    names = sorted(a.names_of(chain))
     if all(len(x) == 1 for x in a.elements):
         return "".join(names)
     return ",".join(names)
 
 
+def _nerve(a: Poset, chains: list[int]) -> Poset:
+    up = [sum(1 << k for k, t in enumerate(chains) if s & ~t == 0) for s in chains]
+    return Poset([_chain_name(a, c) for c in chains], up)
+
+
 def nerve(a: Poset) -> Poset:
     """Poset of all nonempty chains of a, ordered by inclusion."""
-    if len(a) == 0:
-        raise EmptyPoset("nerve of the empty poset")
-    chains = _chains(a)
-    names = [_chain_name(a, c) for c in chains]
-    sets = [frozenset(c) for c in chains]
-    up = []
-    for s in sets:
-        mask = 0
-        for k, t in enumerate(sets):
-            if s <= t:
-                mask |= 1 << k
-        up.append(mask)
-    return Poset(names, up)
+    return _nerve(a, _chains(a))
 
 
 def realize(a: Poset) -> Complex:
     """Geometric realization: element a_i sits at the i-th standard basis
     vector of R^n (n = |a|), one simplex per chain."""
-    if len(a) == 0:
-        raise EmptyPoset("cannot realize the empty poset")
     n = len(a)
     vertices = {
         a.elements[i]: [str(Fraction(int(i == j))) for j in range(n)]
         for i in range(n)
     }
     chains = _chains(a)
-    maximal = [c for c in chains if not any(c != d and set(c) < set(d) for d in chains)]
-    return build_complex(vertices, [[a.elements[i] for i in c] for c in maximal])
+    found = set(chains)
+    maximal = [c for c in chains
+               if not any(c | 1 << j in found for j in range(n) if not c >> j & 1)]
+    return build_complex(vertices, [a.names_of(c) for c in maximal])
+
+
+def _max_map(a: Poset, dom: Poset, chains: list[int]) -> MonotoneMap:
+    """The map sending element i of dom, the chain chains[i] of a, to its maximum."""
+    return MonotoneMap(dom, a, tuple(a.elements[a.maximal_of(c).bit_length() - 1] for c in chains))
 
 
 def max_pmorphism(a: Poset) -> MonotoneMap:
     """The p-morphism nerve(a) -> a sending each chain to its maximum."""
-    if len(a) == 0:
-        raise EmptyPoset("max p-morphism needs a nonempty poset")
-    nv = nerve(a)
     chains = _chains(a)
-    images = []
-    for c in chains:
-        mx = c[0]
-        for i in c[1:]:
-            if a.up[mx] >> i & 1:
-                mx = i
-        images.append(a.elements[mx])
-    return MonotoneMap(nv, a, tuple(images))
+    return _max_map(a, _nerve(a, chains), chains)
 
 
 @dataclass
@@ -125,23 +116,16 @@ def transfer_countermodel(a: Poset, valuation: dict[str, int], f: Formula) -> Po
     frame; both evaluations must refute.
     """
     from .algebra import eval_formula
-    from .poset import is_pmorphism
 
     if eval_formula(a, valuation, f) == a.full_mask:
         raise NotACountermodel("valuation does not refute the formula on the frame")
     k = realize(a)
     face = k.face_poset()
-    pm = max_pmorphism(a)
-    ok, witness = is_pmorphism(pm)
+    pm = _max_map(a, face, [a.mask_of(s) for s in k.simplices])
+    ok, witness = poset.is_pmorphism(pm)
     if not (ok and pm.is_surjective()):
         raise SoundnessError(f"max map is not a surjective p-morphism, witness {witness}")
-    # pm's domain is nerve(a); align it with the face poset by name
-    if sorted(pm.dom.elements) != sorted(face.elements):
-        raise SoundnessError("nerve and face poset of the realization differ")
-    transferred = {}
-    for p, mask in valuation.items():
-        nerve_mask = pm.preimage_mask(mask)
-        transferred[p] = face.mask_of(pm.dom.names_of(nerve_mask))
+    transferred = {p: pm.preimage_mask(mask) for p, mask in valuation.items()}
     value = eval_formula(face, transferred, f)
     if value == face.full_mask:
         raise NotACountermodel("transferred valuation fails to refute on the nerve")

@@ -17,12 +17,11 @@ from .algebra import (
     eval_formula,
     is_valid,
     join_irreducibles,
-    spec,
     stone_map,
 )
 from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, atoms, bd, pretty
-from .nerve import PolyhedralCountermodel, max_pmorphism, nerve, realize, transfer_countermodel
+from .nerve import PolyhedralCountermodel, max_pmorphism, realize, transfer_countermodel
 from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
 from .simplicial import (
     Complex,
@@ -355,7 +354,7 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
 
 def verify_nerve(a: Poset) -> Report:
     rep = Report("nerve")
-    nv = nerve(a)
+    pm = max_pmorphism(a)
     k = realize(a)
     rep.add(f"depth(A)={a.depth()} equals dim(realize(A))", k.dim() == a.depth())
     # chains and simplices share canonical names, so the identity on names
@@ -364,9 +363,8 @@ def verify_nerve(a: Poset) -> Report:
     face = k.face_poset()
     rep.add(
         "face poset of realization iso nerve",
-        nv.is_order_isomorphism(face, {e: e for e in nv.elements}),
+        pm.dom.is_order_isomorphism(face, {e: e for e in pm.dom.elements}),
     )
-    pm = max_pmorphism(a)
     ok, witness = is_pmorphism(pm)
     rep.add("max map is a p-morphism", ok, str(witness))
     rep.add("max map is surjective", pm.is_surjective())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     CapExceeded,
@@ -227,16 +227,16 @@ class Poset:
     def is_order_isomorphism(self, other: "Poset", mapping: dict[str, str]) -> bool:
         """Check that the given element bijection preserves and reflects
         the order (cheap alternative to canonical forms when a candidate
-        map is known)."""
+        map is known): a bijection does so iff it is a p-morphism."""
         if sorted(mapping) != sorted(self.elements):
             return False
         if sorted(mapping.values()) != sorted(other.elements):
             return False
-        for a in self.elements:
-            for b in self.elements:
-                if self.leq(a, b) != other.leq(mapping[a], mapping[b]):
-                    return False
-        return True
+        try:
+            f = MonotoneMap(self, other, tuple(mapping[e] for e in self.elements))
+        except NotMonotone:
+            return False
+        return is_pmorphism(f)[0]
 
 
 def from_covers(elements, covers) -> Poset:
@@ -307,25 +307,25 @@ def _witness_cycle(succ, i, j, elements):
 
 @dataclass(frozen=True)
 class MonotoneMap:
+    """A map given by the names of the images of dom.elements, kept as their
+    cod indices; monotone iff up x <= f^-1(up f(x)), i.e. f[up x] <= up f(x)."""
+
     dom: Poset
     cod: Poset
     mapping: tuple[str, ...]  # image of dom.elements[i]
+    image: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.mapping) != len(self.dom):
             raise NotMonotone("mapping must be total on the domain")
-        for name in self.mapping:
-            if name not in self.cod.index:
-                raise UnknownElement(name)
-        for a, b in itertools.combinations(range(len(self.dom)), 2):
-            for x, y in ((a, b), (b, a)):
-                if self.dom.up[x] >> y & 1 and not self.cod.leq(
-                    self.mapping[x], self.mapping[y]
-                ):
-                    raise NotMonotone(
-                        f"{self.dom.elements[x]} <= {self.dom.elements[y]} but "
-                        f"{self.mapping[x]} !<= {self.mapping[y]}"
-                    )
+        self.cod.mask_of(self.mapping)  # raises UnknownElement
+        object.__setattr__(self, "image", tuple(self.cod.index[name] for name in self.mapping))
+        for x, fx in enumerate(self.image):
+            bad = self.dom.up[x] & ~self.preimage_mask(self.cod.up[fx])
+            if bad:
+                y = (bad & -bad).bit_length() - 1
+                raise NotMonotone(f"{self.dom.elements[x]} <= {self.dom.elements[y]} but "
+                                  f"{self.mapping[x]} !<= {self.mapping[y]}")
 
     def __call__(self, name: str) -> str:
         return self.mapping[self.dom.index[name]]
@@ -335,14 +335,14 @@ class MonotoneMap:
         m = dom_mask
         while m:
             i = (m & -m).bit_length() - 1
-            out |= 1 << self.cod.index[self.mapping[i]]
+            out |= 1 << self.image[i]
             m &= m - 1
         return out
 
     def preimage_mask(self, cod_mask: int) -> int:
         out = 0
-        for i, name in enumerate(self.mapping):
-            if cod_mask >> self.cod.index[name] & 1:
+        for i, j in enumerate(self.image):
+            if cod_mask >> j & 1:
                 out |= 1 << i
         return out
 
@@ -356,10 +356,8 @@ def is_pmorphism(f: MonotoneMap):
     Returns (True, None) or (False, (a, missed_target)).
     """
     for i, a in enumerate(f.dom.elements):
-        have = f.image_mask(f.dom.up[i])
-        want = f.cod.up[f.cod.index[f.mapping[i]]]
-        if have != want:
-            missed = want & ~have | have & ~want
+        missed = f.image_mask(f.dom.up[i]) ^ f.cod.up[f.image[i]]
+        if missed:
             j = (missed & -missed).bit_length() - 1
             return False, (a, f.cod.elements[j])
     return True, None
@@ -465,6 +463,15 @@ def _extensions(up, k):
 
 def poset_to_json(p: Poset) -> dict:
     return {"elements": list(p.elements), "covers": [list(c) for c in p.covers()]}
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; bytes that do not decode raise MalformedInput."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise MalformedInput(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def json_object(data, *keys) -> dict:

@@ -18,6 +18,11 @@ Order: the poset generator that added a new element with every
 compatible (down-set, up-set) pair before it added only maximal ones,
 and the all-pairs join-irreducible scan that ran before lower covers
 were read off the carrier.
+
+Maps and chains: the checks that compared element names in pairs before
+maps were kept as image indices and checked one mask identity per point,
+and the chains as sorted index tuples and frozensets before they became
+one list of masks shared by the nerve, the realization and the max map.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 from polylogic.algebra import FiniteHeyting, eval_formula
 from polylogic.formula import And, Atom, Bottom, Or, Top, atoms
 from polylogic.poset import Poset, _canonical_form, enumerate_posets
+from polylogic.simplicial import build_complex
 
 
 def faces_of(k, key):
@@ -329,4 +335,127 @@ def join_irreducibles(algebra):
                 joined |= v
         if joined != u:
             out.append(u)
+    return out
+
+
+def monotone_violation(dom, cod, mapping):
+    """First pair (x, y) of dom indices, tried as pairs of names, with
+    x <= y but mapping[x] !<= mapping[y]; None when the map is monotone."""
+    for a, b in itertools.combinations(range(len(dom)), 2):
+        for x, y in ((a, b), (b, a)):
+            if dom.up[x] >> y & 1 and not cod.leq(mapping[x], mapping[y]):
+                return x, y
+    return None
+
+
+def image_mask(f, dom_mask):
+    return f.cod.mask_of(name for i, name in enumerate(f.mapping) if dom_mask >> i & 1)
+
+
+def preimage_mask(f, cod_mask):
+    out = 0
+    for i, name in enumerate(f.mapping):
+        if cod_mask >> f.cod.index[name] & 1:
+            out |= 1 << i
+    return out
+
+
+def is_pmorphism(f):
+    """f[up a] = up f(a) for all a, with images looked up by name; returns
+    (True, None) or (False, (a, missed_target))."""
+    for i, a in enumerate(f.dom.elements):
+        have = image_mask(f, f.dom.up[i])
+        want = f.cod.up[f.cod.index[f.mapping[i]]]
+        if have != want:
+            missed = want & ~have | have & ~want
+            j = (missed & -missed).bit_length() - 1
+            return False, (a, f.cod.elements[j])
+    return True, None
+
+
+def is_order_isomorphism(p, other, mapping):
+    """Whether the name bijection preserves and reflects leq on all pairs."""
+    if sorted(mapping) != sorted(p.elements):
+        return False
+    if sorted(mapping.values()) != sorted(other.elements):
+        return False
+    for a in p.elements:
+        for b in p.elements:
+            if p.leq(a, b) != other.leq(mapping[a], mapping[b]):
+                return False
+    return True
+
+
+def chains(a):
+    """All nonempty chains, as sorted tuples of element indices, ascending."""
+    n = len(a)
+    out = []
+
+    def extend(chain, last):
+        out.append(tuple(chain))
+        for j in range(n):
+            if j != last and a.up[last] >> j & 1:
+                chain.append(j)
+                extend(chain, j)
+                chain.pop()
+
+    for i in range(n):
+        extend([i], i)
+    return sorted(set(tuple(sorted(c)) for c in out))
+
+
+def chain_name(a, chain):
+    names = sorted(a.elements[i] for i in chain)
+    if all(len(x) == 1 for x in a.elements):
+        return "".join(names)
+    return ",".join(names)
+
+
+def nerve(a):
+    """Poset of the chains of a under frozenset inclusion."""
+    cs = chains(a)
+    sets = [frozenset(c) for c in cs]
+    up = []
+    for s in sets:
+        mask = 0
+        for k, t in enumerate(sets):
+            if s <= t:
+                mask |= 1 << k
+        up.append(mask)
+    return Poset([chain_name(a, c) for c in cs], up)
+
+
+def maximal_chains(a):
+    cs = chains(a)
+    return [c for c in cs if not any(c != d and set(c) < set(d) for d in cs)]
+
+
+def realize(a):
+    n = len(a)
+    vertices = {a.elements[i]: [str(int(i == j)) for j in range(n)] for i in range(n)}
+    return build_complex(vertices, [[a.elements[i] for i in c] for c in maximal_chains(a)])
+
+
+def max_images(a):
+    """The name of the maximum of each chain of chains(a)."""
+    images = []
+    for c in chains(a):
+        mx = c[0]
+        for i in c[1:]:
+            if a.up[mx] >> i & 1:
+                mx = i
+        images.append(a.elements[mx])
+    return images
+
+
+def transferred_valuation(a, valuation):
+    """The valuation moved to the face poset of realize(a) through the
+    nerve, matched to the face poset by name."""
+    nv = nerve(a)
+    face = realize(a).face_poset()
+    images = max_images(a)
+    out = {}
+    for p, mask in valuation.items():
+        nerve_mask = sum(1 << k for k, name in enumerate(images) if mask >> a.index[name] & 1)
+        out[p] = face.mask_of(nv.names_of(nerve_mask))
     return out

@@ -44,6 +44,12 @@ def test_formula_syntax_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("index", ["x", "-1", "1.5", pytest.param("9" * 5000, id="5000-digits")])
+def test_formula_bd_bad_index_exits_2_with_one_line(capsys, index):
+    code, out, err = run(capsys, "formula", "bd", index)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_poset_commands(capsys, corpus_dir):
     chain2 = next(
         p for p in corpus_dir.glob("poset*.json")
@@ -217,6 +223,46 @@ def test_counter_reports_the_size_it_finished(capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "poset", "depth", "/nonexistent.json")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("case", [
+    "poset depth of a directory",
+    "nerve realize into a directory",
+    "corpus onto a regular file",
+    "suite with a regular file as corpus",
+    "poset file not UTF-8",
+    "corpus complex not UTF-8",
+    "corpus complex not JSON",
+])
+def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, case):
+    chain2 = _write(tmp_path / "chain2.json", '{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    if case == "corpus complex not UTF-8":
+        (corpus / "bad.complex.json").write_bytes(b'{"vertices": {"\xe9": [0]}}')
+    elif case == "corpus complex not JSON":
+        _write(corpus / "bad.complex.json", "{")
+    argv = {
+        "poset depth of a directory": ["poset", "depth", str(tmp_path)],
+        "nerve realize into a directory": ["nerve", "realize", str(chain2), "-o", str(tmp_path)],
+        "corpus onto a regular file": ["corpus", str(chain2)],
+        "suite with a regular file as corpus": ["suite", "dimbd", "--corpus", str(chain2)],
+        "poset file not UTF-8": ["poset", "depth", str(latin1)],
+        "corpus complex not UTF-8": ["suite", "dimbd", "--corpus", str(corpus)],
+        "corpus complex not JSON": ["suite", "dimbd", "--corpus", str(corpus)],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_write_corpus_reproduces_the_checked_in_corpus(corpus_dir):
+    shipped = Path(__file__).resolve().parents[1] / "corpus"
+    names = sorted(p.name for p in shipped.iterdir())
+    assert len(names) == 94 and names == sorted(p.name for p in corpus_dir.iterdir())
+    for name in names:
+        assert (corpus_dir / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
 def test_nerve_realize_off(capsys, corpus_dir, tmp_path):

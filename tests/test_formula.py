@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from polylogic.errors import ParseError
+from polylogic.errors import MalformedInput, ParseError
 from polylogic.formula import (
     And,
     Atom,
@@ -53,6 +53,9 @@ def test_bd_schema():
     assert pretty(bd(1)) == "p1 | (p1 -> (p0 | ~p0))"
     assert pretty(bd(2)) == "p2 | (p2 -> (p1 | (p1 -> (p0 | ~p0))))"
     assert atoms(bd(3)) == ["p3", "p2", "p1", "p0"]
+    with pytest.raises(MalformedInput):
+        bd(-1)
+    assert issubclass(MalformedInput, ValueError)
 
 
 def test_atoms_in_first_occurrence_order():
