@@ -1,12 +1,13 @@
 """Intuitionistic logic on finite frames and rational polyhedra.
 
-Formulae, finite posets as Kripke frames, finite Heyting / co-Heyting
-algebras with their duality, exact-rational simplicial complexes with
+Formulae, finite posets as Kripke frames, finite Heyting algebras of
+up-sets with their duality, exact-rational simplicial complexes with
 definable-set algebras, nerve realizations, and countermodel transfer.
+The lower sets Lo(P) are handled as the up-sets Up(P.op()) of the
+opposite order; their co-implication is ``P.down_closure(c & ~d)``.
 """
 
 from .algebra import (
-    FiniteCoHeyting,
     FiniteHeyting,
     algebra_depth,
     eval_formula,
@@ -35,7 +36,6 @@ from .simplicial import (
     DefinableSet,
     build_complex,
     co_implication,
-    definable_algebras,
     heyting_implication,
     is_closed_pseudomanifold,
     sample_points,

@@ -1,4 +1,8 @@
-"""Finite Heyting and co-Heyting algebras of up-sets and lower sets.
+"""Finite Heyting algebras of up-sets.
+
+The lower sets Lo(P) of a frame are handled as the up-sets Up(P.op()) of
+the opposite order, and the co-implication C <= D of Lo(P) is
+``P.down_closure(C & ~D)``.
 
 Carriers are sorted lists of bitmasks over the base frame's canonical
 element order, so the canonical enumeration order is ascending integers
@@ -29,7 +33,6 @@ from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, is_name_list, is_pmorp
 
 __all__ = [
     "FiniteHeyting",
-    "FiniteCoHeyting",
     "eval_formula",
     "is_valid",
     "ValidityResult",
@@ -74,24 +77,6 @@ class FiniteHeyting:
             self._tables = [sum(1 << v for v, u in enumerate(self.carrier) if u >> i & 1)
                             for i in range(len(self.frame))]
         return self._tables
-
-
-class FiniteCoHeyting:
-    """The co-Heyting algebra Lo(A): lower sets with C <= D the
-    down-closure of C \\ D (smallest K with C <= D u K)."""
-
-    def __init__(self, frame: Poset, cap: int = DEFAULT_UPSET_CAP):
-        self.frame = frame
-        self.carrier: list[int] = frame.all_downsets(cap)
-        self.index = {u: i for i, u in enumerate(self.carrier)}
-        self.bot = 0
-        self.top = frame.full_mask
-
-    def __len__(self):
-        return len(self.carrier)
-
-    def co_imp(self, c: int, d: int) -> int:
-        return self.frame.down_closure(c & ~d)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +201,11 @@ def is_valid(
 def join_irreducibles(algebra) -> list[int]:
     """Elements with exactly one lower cover, in ascending mask order.
 
-    The carrier must be all up-sets (or all down-sets) of a frame. Then a
-    carrier element v < u lies below u minus x for any x minimal (maximal)
-    in u \\ v, and that x is minimal (maximal) in u, so u minus x is in the
-    carrier. The lower covers of u are thus the carrier elements u minus
-    one point; u is join-irreducible iff there is exactly one.
+    The carrier must be all up-sets of a frame (all down-sets of P are the
+    up-sets of P.op()). Then a carrier element v < u lies below u minus x
+    for any x minimal in u \\ v, and that x is minimal in u, so u minus x
+    is in the carrier. The lower covers of u are thus the carrier elements
+    u minus one point; u is join-irreducible iff there is exactly one.
     """
     out = []
     for u in algebra.carrier:

@@ -276,6 +276,9 @@ def main(argv=None) -> int:
     except (PolylogicError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:  # a formula nested deeper than Python's recursion limit
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

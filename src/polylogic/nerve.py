@@ -62,12 +62,15 @@ def nerve(a: Poset) -> Poset:
 def realize(a: Poset) -> Complex:
     """Geometric realization: element a_i sits at the i-th standard basis
     vector of R^n (n = |a|), one simplex per chain."""
+    return _realize(a, _chains(a))
+
+
+def _realize(a: Poset, chains: list[int]) -> Complex:
     n = len(a)
     vertices = {
         a.elements[i]: [str(Fraction(int(i == j))) for j in range(n)]
         for i in range(n)
     }
-    chains = _chains(a)
     found = set(chains)
     maximal = [c for c in chains
                if not any(c | 1 << j in found for j in range(n) if not c >> j & 1)]

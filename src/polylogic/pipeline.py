@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     DEFAULT_BUDGET,
     FiniteHeyting,
+    _spectrum,
     algebra_depth,
     eval_formula,
     is_valid,
@@ -21,15 +22,10 @@ from .algebra import (
 )
 from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, atoms, bd, pretty
-from .nerve import PolyhedralCountermodel, max_pmorphism, realize, transfer_countermodel
+from .nerve import PolyhedralCountermodel, _chains, _max_map, _nerve, _realize
+from .nerve import transfer_countermodel
 from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
-from .simplicial import (
-    Complex,
-    DefinableSet,
-    co_implication,
-    definable_algebras,
-    sample_points,
-)
+from .simplicial import Complex, DefinableSet, co_implication, sample_points
 
 __all__ = [
     "Verdict",
@@ -251,28 +247,20 @@ def verify_dim_bd(
 
 
 def verify_ji(k: Complex, cap: int = DEFAULT_UPSET_CAP) -> Report:
-    """Join-irreducibles of the definable algebras and the length of the
-    longest prime-filter chain."""
+    """Join-irreducibles of the definable algebras, PC^c(K) as
+    Up(face.op()) and PC^o(K) as Up(face), and the length of the longest
+    prime-filter chain, read off the spectrum of each join-irreducible list."""
     rep = Report("ji")
-    closed, opened = definable_algebras(k, cap)
-    face = closed.frame
-    jis_c = join_irreducibles(closed)
-    principal_down = sorted(face.down[i] for i in range(len(face)))
-    rep.add(
-        f"JI(PC^c) = principal down-sets of the {len(face)} simplices",
-        jis_c == principal_down,
-    )
-    jis_o = join_irreducibles(opened)
-    stars = sorted(face.up[i] for i in range(len(face)))
-    rep.add(
-        f"JI(PC^o) = the {len(face)} open stars",
-        jis_o == stars,
-    )
-    d = k.dim()
+    face = k.face_poset()
+    n, d = len(face), k.dim()
+    closed, opened = FiniteHeyting(face.op(), cap), FiniteHeyting(face, cap)
+    jis_c, jis_o = join_irreducibles(closed), join_irreducibles(opened)
+    rep.add(f"JI(PC^c) = principal down-sets of the {n} simplices", jis_c == sorted(face.down))
+    rep.add(f"JI(PC^o) = the {n} open stars", jis_o == sorted(face.up))
     if len(closed) > 1:
         rep.add(
             f"longest prime-filter chain = dim+1 = {d + 1} in both algebras",
-            algebra_depth(closed) == d and algebra_depth(opened) == d,
+            _spectrum(face, jis_c).depth() == d == _spectrum(face, jis_o).depth(),
         )
     else:
         rep.add("trivial algebra on the empty complex", d == -1)
@@ -353,9 +341,11 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
 
 
 def verify_nerve(a: Poset) -> Report:
+    """The nerve, the realization and the max map of a, read off one chain list."""
     rep = Report("nerve")
-    pm = max_pmorphism(a)
-    k = realize(a)
+    chains = _chains(a)
+    pm = _max_map(a, _nerve(a, chains), chains)
+    k = _realize(a, chains)
     rep.add(f"depth(A)={a.depth()} equals dim(realize(A))", k.dim() == a.depth())
     # chains and simplices share canonical names, so the identity on names
     # must be an order-isomorphism (canonical forms are intractable here:

@@ -4,7 +4,8 @@ Elements are strings in a fixed canonical order; the order relation is
 kept as per-element bitmasks (``up[i]`` = mask of everything above
 element ``i``, itself included). Up-sets and lower sets are plain int
 bitmasks relative to that canonical order, so the canonical enumeration
-order of up-sets is just ascending integers.
+order of up-sets is just ascending integers. The lower sets of P are the
+up-sets of ``P.op()``, so only up-sets are enumerated.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class Poset:
         complement of the down-closure of u \\ v."""
         return self.full_mask & ~self.down_closure(u & ~v)
 
+    def op(self) -> "Poset":
+        """The opposite order on the same elements: its up-sets are the
+        down-sets of self, so Lo(P) is Up(P.op())."""
+        return Poset(self.elements, self.down, _trusted=True)
+
     def is_upset(self, mask: int) -> bool:
         return self.up_closure(mask) == mask
 
@@ -144,17 +150,6 @@ class Poset:
                 if not between:
                     out.append((self.elements[i], self.elements[j]))
                 m &= m - 1
-        return out
-
-    def minimal_of(self, mask: int) -> int:
-        """Minimal elements of the subset given by mask."""
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if not (self.down[i] & mask & ~(1 << i)):
-                out |= 1 << i
-            m &= m - 1
         return out
 
     def maximal_of(self, mask: int) -> int:
@@ -209,10 +204,6 @@ class Poset:
                 stack.append((pos + 1, mask | 1 << i))
         out.sort()
         return out
-
-    def all_downsets(self, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
-        full = self.full_mask
-        return sorted(full & ~u for u in self.all_upsets(cap))
 
     # -- isomorphism ------------------------------------------------------
 
@@ -453,7 +444,7 @@ def _extensions(up, k):
     element, one extension per down-set: the elements below it."""
     m = k - 1
     base = Poset([str(i) for i in range(m)], up, _trusted=True)
-    for d_mask in base.all_downsets():
+    for d_mask in (base.full_mask ^ upset for upset in base.all_upsets()):
         yield tuple(u | (d_mask >> i & 1) << m for i, u in enumerate(up)) + (1 << m,)
 
 

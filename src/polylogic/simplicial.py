@@ -9,9 +9,9 @@ comma-separated otherwise).
 Each complex builds its face poset once, with element i the simplex
 ``simplices[i]``. A definable set is a polarity plus an int bitmask over
 that order: a down-set of the face poset when closed, an up-set when
-open (PC^c(K) = Lo(F(K)), PC^o(K) = Up(F(K))). Its algebra is the frame
-algebra of ``Poset``; geometry enters only through carrier() and
-member().
+open (PC^c(K) = Lo(F(K)) = Up(F(K).op()), PC^o(K) = Up(F(K))). Its
+algebra is the frame algebra of ``Poset``; geometry enters only through
+carrier() and member().
 """
 
 from __future__ import annotations
@@ -288,16 +288,6 @@ def co_implication(c: DefinableSet, d: DefinableSet) -> DefinableSet:
     return DefinableSet(c.complex, "closed", c.complex._face.down_closure(c.mask & ~d.mask))
 
 
-def definable_algebras(k: Complex, cap: int | None = None):
-    """(PC^c(K) as Lo(face poset), PC^o(K) as Up(face poset))."""
-    from .algebra import FiniteCoHeyting, FiniteHeyting
-    from .poset import DEFAULT_UPSET_CAP
-
-    cap = DEFAULT_UPSET_CAP if cap is None else cap
-    fp = k.face_poset()
-    return FiniteCoHeyting(fp, cap), FiniteHeyting(fp, cap)
-
-
 # ---------------------------------------------------------------------------
 # Construction
 
@@ -346,7 +336,8 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
 # point whose weight is not entirely on S in one of the two barycentric
 # representations. Checked by exact Fourier-Motzkin feasibility of the
 # system "lam, mu >= 0, sum lam = sum mu = 1, sum lam_i v_i = sum mu_j w_j"
-# together with one strict inequality per non-shared weight.
+# together with one strict inequality: the non-shared weights sum to more
+# than 0, which for weights >= 0 says that one of them is positive.
 
 
 def _fm_feasible(eqs, ineqs) -> bool:
@@ -407,15 +398,8 @@ def _pair_violates(k: Complex, s: SimplexKey, t: SimplexKey) -> bool:
         ([Fraction(int(v == j)) for v in range(nvars)], Fraction(0), False)
         for j in range(nvars)
     ]
-    strict_vars = [j for j, vid in enumerate(s) if vid not in shared]
-    strict_vars += [na + j for j, vid in enumerate(t) if vid not in shared]
-    if not shared:
-        return _fm_feasible(eqs, nonneg)
-    for j in strict_vars:
-        strict = ([Fraction(int(v == j)) for v in range(nvars)], Fraction(0), True)
-        if _fm_feasible(eqs, nonneg + [strict]):
-            return True
-    return False
+    outside = ([Fraction(int(vid not in shared)) for vid in s + t], Fraction(0), True)
+    return _fm_feasible(eqs, nonneg + [outside])
 
 
 @dataclass

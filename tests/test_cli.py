@@ -176,6 +176,21 @@ def test_bad_complex_and_valuation_files_exit_2(capsys, corpus_dir, tmp_path):
         assert code == 2 and err.startswith("error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["formula", "bd", "2000"], id="bd-2000"),
+    pytest.param(["formula", "print", "~" * 3000 + "p"], id="3000-negations"),
+    pytest.param(["formula", "print", "(" * 3000 + "p" + ")" * 3000], id="3000-parentheses"),
+    pytest.param(["frame", "check", "(" * 3000 + "p" + ")" * 3000], id="frame-3000-parentheses"),
+    pytest.param(["frame", "check", " & ".join(["p"] * 3000)], id="frame-3000-conjuncts"),
+])
+def test_deep_nesting_exits_2_with_one_line(capsys, tmp_path, argv):
+    # the conjunction chain parses without recursion and nests in evaluation
+    if argv[0] == "frame":
+        argv = argv + [str(_write(tmp_path / "one.json", '{"elements": ["a"], "covers": []}'))]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_frame_check_answers_64_and_65_elements(capsys, tmp_path):
     for n in (64, 65):
         code, out, _ = run(capsys, "frame", "check", "p | ~p", str(_chain_file(tmp_path / "c.json", n)))

@@ -14,10 +14,12 @@ import random
 import pytest
 
 import oracles
+from polylogic import pipeline
 from polylogic.algebra import is_valid
 from polylogic.errors import NotMonotone
 from polylogic.formula import parse
 from polylogic.nerve import max_pmorphism, nerve, realize, transfer_countermodel
+from polylogic.pipeline import verify_nerve
 from polylogic.poset import MonotoneMap, Poset, enumerate_posets, is_pmorphism
 
 nerve_mod = importlib.import_module("polylogic.nerve")  # the package exports nerve() by that name
@@ -119,9 +121,11 @@ def test_transfer_matches_the_nerve_matched_by_name():
 def test_one_chain_list_per_call(monkeypatch):
     calls = []
     real = nerve_mod._chains
-    monkeypatch.setattr(nerve_mod, "_chains", lambda a: calls.append(a) or real(a))
+    counted = lambda a: calls.append(a) or real(a)
+    monkeypatch.setattr(nerve_mod, "_chains", counted)
+    monkeypatch.setattr(pipeline, "_chains", counted)  # verify_nerve binds it by name
     p = UP_TO_5[-1]  # the 5-chain in an order that is not a linear extension
-    for fn in (nerve, realize, max_pmorphism):
+    for fn in (nerve, realize, max_pmorphism, verify_nerve):
         calls.clear()
         fn(p)
         assert calls == [p], fn.__name__

@@ -120,7 +120,13 @@ def _perturbed_realizations(count, seed):
     return out
 
 
-def test_verify_complex_matches_all_pairs_oracle():
+def test_verify_complex_matches_all_pairs_oracle(monkeypatch):
+    # one exact run per tested pair: its non-shared weights sum to more
+    # than 0, in place of one run per non-shared weight
+    pairs, runs = [], []
+    violates, feasible = simplicial._pair_violates, simplicial._fm_feasible
+    monkeypatch.setattr(simplicial, "_pair_violates", lambda *a: pairs.append(a) or violates(*a))
+    monkeypatch.setattr(simplicial, "_fm_feasible", lambda *a: runs.append(a) or feasible(*a))
     invalid = violations = 0
     for k in _perturbed_realizations(40, seed=2):
         want = oracles.verify_complex_violations(k)
@@ -129,6 +135,7 @@ def test_verify_complex_matches_all_pairs_oracle():
         violations += len(want)
     # the sample must hold valid and invalid complexes alike
     assert 10 <= invalid <= 30 and violations > invalid
+    assert len(runs) == len(pairs) > violations
 
 
 def test_verify_complex_skips_exact_test_under_one_maximal_simplex(monkeypatch):

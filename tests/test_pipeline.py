@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import polylogic
-from polylogic import corpus, pipeline, poset
+from polylogic import algebra, corpus, pipeline, poset
 from polylogic.algebra import eval_formula, up_of_pmorphism
 from polylogic.errors import SoundnessError
 from polylogic.formula import bd, parse
-from polylogic.nerve import transfer_countermodel
+from polylogic.nerve import realize, transfer_countermodel
 from polylogic.pipeline import (
     NO_COUNTERMODEL,
     REFUTED_ON_FRAME,
@@ -26,6 +27,7 @@ from polylogic.pipeline import (
     verify_nerve,
 )
 from polylogic.poset import MonotoneMap, enumerate_posets, from_covers
+from polylogic.simplicial import build_complex
 
 
 def test_frame_countermodel_for_excluded_middle():
@@ -66,6 +68,26 @@ def test_verify_ji_and_esakia_reports():
     assert verify_ji(corpus.square_complex()).ok
     for p in enumerate_posets(3):
         assert verify_esakia(p).ok
+
+
+def test_verify_ji_matches_the_down_set_oracle():
+    # PC^c(K) as the up-sets of the opposite face order reports what the
+    # separate down-set carrier reported, the empty complex included
+    subjects = list(corpus.corpus_complexes().values()) + [build_complex({}, [])]
+    subjects += [realize(p) for n in range(1, 5) for p in enumerate_posets(n)]
+    assert len(subjects) == 7 + 1 + 24
+    for k in subjects:
+        assert verify_ji(k).to_json() == oracles.verify_ji(k).to_json()
+
+
+def test_verify_ji_scans_each_algebra_once(monkeypatch):
+    calls = []
+    real = algebra.join_irreducibles
+    counted = lambda h: calls.append(h) or real(h)
+    monkeypatch.setattr(algebra, "join_irreducibles", counted)  # spec() calls it here
+    monkeypatch.setattr(pipeline, "join_irreducibles", counted)
+    verify_ji(corpus.square_complex())
+    assert len(calls) == 2
 
 
 def test_verify_hneg_seeded():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from oracles import enumerate_by_all_extensions
+from oracles import enumerate_by_all_extensions, minimal_of
 
 from polylogic import poset
 from polylogic.errors import CapExceeded, CycleError, NotMonotone, UnknownElement
@@ -94,7 +94,21 @@ def test_all_upsets_are_sorted_and_capped():
 def test_downsets_are_complements_of_upsets():
     p = diamond()
     full = p.full_mask
-    assert sorted(full ^ u for u in p.all_upsets()) == p.all_downsets()
+    assert sorted(full ^ u for u in p.all_upsets()) == p.op().all_upsets()
+
+
+def test_op_is_the_opposite_order():
+    # on every poset of at most five elements: op is an involution, its
+    # up-sets are the complements of the up-sets (the down-sets), and its
+    # maximal elements are the minimal ones, on every subset
+    posets = [Poset((), ())] + [p for n in range(1, 6) for p in enumerate_posets(n)]
+    for p in posets:
+        q = p.op()
+        assert (q.elements, q.up, q.down) == (p.elements, p.down, p.up)
+        assert (q.op().elements, q.op().up) == (p.elements, p.up)
+        assert q.all_upsets() == sorted(p.full_mask ^ u for u in p.all_upsets())
+        for mask in range(1 << len(p)):
+            assert q.maximal_of(mask) == minimal_of(p, mask)
 
 
 def brute_depth(p):
@@ -132,7 +146,7 @@ def test_up_down_closures():
 
 def test_minimal_maximal():
     p = diamond()
-    assert p.names_of(p.minimal_of(p.full_mask)) == ["bot"]
+    assert p.names_of(p.op().maximal_of(p.full_mask)) == ["bot"]
     assert p.names_of(p.maximal_of(p.mask_of(["l", "r", "bot"]))) == ["l", "r"]
 
 

@@ -125,5 +125,5 @@ def test_rooted_frames_by_depth(max_depth, counts):
         frames = list(pipeline._rooted_frames(n, max_depth))
         assert len(frames) == count
         for p in frames:
-            assert p.minimal_of(p.full_mask) == 1
+            assert p.op().maximal_of(p.full_mask) == 1
             assert max_depth is None or p.depth() <= max_depth

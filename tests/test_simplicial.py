@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from oracles import cofaces_of, faces_of
 
+from polylogic.algebra import FiniteHeyting
 from polylogic.errors import (
     AffinelyDependent,
     BadCoordinate,
@@ -18,7 +19,6 @@ from polylogic.simplicial import (
     co_implication,
     complex_from_json,
     complex_to_json,
-    definable_algebras,
     heyting_implication,
     is_closed_pseudomanifold,
     parse_rational,
@@ -225,8 +225,8 @@ def test_co_implication_example():
 
 def test_definable_algebras_sizes():
     k = square()
-    closed, opened = definable_algebras(k)
-    assert closed.frame.is_isomorphic(opened.frame)
+    closed, opened = FiniteHeyting(k.face_poset().op()), FiniteHeyting(k.face_poset())
+    assert closed.frame.op().is_isomorphic(opened.frame)
     assert len(closed) == len(opened) == 83
 
 
