@@ -28,7 +28,7 @@ from .errors import (
     SoundnessError,
     TrivialAlgebra,
 )
-from .formula import And, Atom, Bottom, Formula, Implies, Or, Top, atoms
+from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
 from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, is_name_list, is_pmorphism, json_object
 
 __all__ = [
@@ -85,21 +85,16 @@ class FiniteHeyting:
 
 def eval_formula(frame: Poset, valuation: dict[str, int], f: Formula) -> int:
     """Evaluate f in Up(frame); valuation maps atom names to up-set masks."""
-    if isinstance(f, Atom):
-        if f.name not in valuation:
-            raise MissingAtom(f.name)
-        return valuation[f.name]
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Top):
-        return frame.full_mask
-    left = eval_formula(frame, valuation, f.left)
-    right = eval_formula(frame, valuation, f.right)
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    return frame.imp(left, right)
+
+    def leaf(g):
+        if isinstance(g, Atom):
+            if g.name not in valuation:
+                raise MissingAtom(g.name)
+            return valuation[g.name]
+        return frame.full_mask if isinstance(g, Top) else 0
+
+    ops = {And: and_, Or: or_, Implies: frame.imp}
+    return fold(f, leaf, lambda g, left, right: ops[type(g)](left, right))
 
 
 @dataclass(frozen=True)
@@ -131,18 +126,19 @@ def _pattern(col: int, m: int, width: int, count: int) -> int:
 def _eval_sliced(f: Formula, env, ups, ones) -> list[int]:
     """f at every frame point; bit b of each int is its value under the
     b-th valuation of the batch."""
-    if isinstance(f, Atom):
-        return env[f.name]
-    if isinstance(f, (Bottom, Top)):
-        return [ones if isinstance(f, Top) else 0] * len(ups)
-    a = _eval_sliced(f.left, env, ups, ones)
-    b = _eval_sliced(f.right, env, ups, ones)
-    if isinstance(f, And):
-        return [x & y for x, y in zip(a, b)]
-    if isinstance(f, Or):
-        return [x | y for x, y in zip(a, b)]
-    fails = [x & ~y for x, y in zip(a, b)]  # a -> b fails at i iff fails above i
-    return [ones ^ reduce(or_, map(fails.__getitem__, up)) for up in ups]
+
+    def leaf(g):
+        if isinstance(g, Atom):
+            return env[g.name]
+        return [ones if isinstance(g, Top) else 0] * len(ups)
+
+    def node(g, a, b):
+        if not isinstance(g, Implies):
+            return list(map(and_ if isinstance(g, And) else or_, a, b))
+        fails = [x & ~y for x, y in zip(a, b)]  # a -> b fails at i iff fails above i
+        return [ones ^ reduce(or_, map(fails.__getitem__, up)) for up in ups]
+
+    return fold(f, leaf, node)
 
 
 def is_valid(

@@ -20,7 +20,7 @@ from .algebra import (
     valuation_from_json,
 )
 from .errors import MalformedInput, PolylogicError
-from .formula import bd, parse, pretty
+from .formula import And, Implies, Or, bd, fold, parse, pretty
 from .pipeline import (
     decide_in_bd_logic,
     find_frame_countermodel,
@@ -49,16 +49,8 @@ def _emit(args, data, text: str | None = None):
 
 
 def _ast(f) -> str:
-    from .formula import And, Atom, Bottom, Implies, Or, Top
-
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Top):
-        return "true"
-    op = {And: "and", Or: "or", Implies: "implies"}[type(f)]
-    return f"({op} {_ast(f.left)} {_ast(f.right)})"
+    op = {And: "and", Or: "or", Implies: "implies"}
+    return fold(f, pretty, lambda g, left, right: f"({op[type(g)]} {left} {right})")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--cap", type=int, default=DEFAULT_UPSET_CAP)
-    p.add_argument("--json", action="store_true", dest="json")
+    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("corpus", help="write the bundled corpus to a directory")
@@ -275,9 +267,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PolylogicError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:  # a formula nested deeper than Python's recursion limit
-        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -37,9 +37,9 @@ class UnknownElement(PolylogicError):
 
 
 class CapExceeded(PolylogicError):
-    def __init__(self, count):
+    def __init__(self, count, message=None):
         self.count = count
-        super().__init__(f"up-set enumeration cap exceeded after {count} sets")
+        super().__init__(message or f"up-set enumeration cap exceeded after {count} sets")
 
 
 class BudgetExceeded(PolylogicError):

@@ -12,6 +12,11 @@ Concrete grammar (lowest precedence first)::
     and    := neg ("&" neg)*
     neg    := "~" neg | atomic
     atomic := ident | "false" | "true" | "(" form ")"
+
+``parse`` reads this grammar by operator precedence over two explicit
+stacks, and ``fold`` is the one walk over a formula: printing, atom lists
+and evaluation are folds. Neither recurses, so nesting depth is bounded
+only by memory.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import MalformedInput, ParseError
 
 __all__ = [
     "Formula", "Atom", "Bottom", "Top", "And", "Or", "Implies",
-    "parse", "pretty", "bd", "atoms", "neg",
+    "parse", "pretty", "fold", "bd", "atoms", "neg",
 ]
 
 
@@ -70,146 +75,122 @@ def neg(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)"
-    r"|(?P<op>[|&~()]))"
-)
+_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|->|[|&~()])")
 
 _KEYWORDS = {"false": Bottom(), "true": Top()}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            off = len(text) - len(stripped)
-            raise ParseError(off, f"a token (got {stripped[0]!r})")
-        if m.group("ident"):
-            tokens.append((m.group("ident"), m.start("ident")))
-        elif m.group("arrow"):
-            tokens.append(("->", m.start("arrow")))
-        else:
-            tokens.append((m.group("op"), m.start("op")))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, offset) pairs, ending with ("<end>", len(text))."""
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        tokens.append((m[1], m.start(1)))
         pos = m.end()
-    tokens.append(("<end>", len(text)))
-    return tokens
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(len(text) - len(rest), f"a token (got {rest[0]!r})")
+    return tokens + [("<end>", len(text))]
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+_BINDING = {"->": 1, "|": 2, "&": 3}  # -> is right-associative, | and & left
+_CONNECTIVE = {"->": Implies, "|": Or, "&": And}
 
-    def peek(self):
-        return self.tokens[self.i][0]
 
-    def offset(self):
-        return self.tokens[self.i][1]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        if self.peek() != kind:
-            raise ParseError(self.offset(), f"{kind!r}")
-        return self.advance()
-
-    def form(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.advance()
-            return Implies(left, self.form())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.negated()
-        while self.peek() == "&":
-            self.advance()
-            f = And(f, self.negated())
-        return f
-
-    def negated(self) -> Formula:
-        if self.peek() == "~":
-            self.advance()
-            return neg(self.negated())
-        return self.atomic()
-
-    def atomic(self) -> Formula:
-        tok = self.peek()
-        if tok == "(":
-            self.advance()
-            f = self.form()
-            self.expect(")")
-            return f
-        if tok in _KEYWORDS:
-            self.advance()
-            return _KEYWORDS[tok]
-        if tok not in ("->", "|", "&", "~", ")", "<end>"):
-            name, _ = self.advance()
-            return Atom(name)
-        raise ParseError(self.offset(), "an atom, 'false', 'true', '~' or '('")
+def _apply(pending: list[str], operands: list[Formula], binding: int):
+    """Apply the pending operators above the innermost "(" that bind at
+    least as tightly as binding; for -> only those binding more tightly."""
+    while pending and pending[-1] != "(":
+        op = pending[-1]
+        if op != "~" and (_BINDING[op] < binding or _BINDING[op] == binding == 1):
+            return
+        pending.pop()
+        right = operands.pop()
+        operands.append(neg(right) if op == "~" else _CONNECTIVE[op](operands.pop(), right))
 
 
 def parse(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.form()
-    if p.peek() != "<end>":
-        raise ParseError(p.offset(), "end of input")
-    return f
+    tokens = iter(_tokenize(text))
+    operands: list[Formula] = []
+    pending: list[str] = []  # "~", "(" and binary operators not yet applied
+    depth = 0  # the "(" on pending
+    while True:
+        tok, off = next(tokens)
+        while tok in ("~", "("):
+            pending.append(tok)
+            depth += tok == "("
+            tok, off = next(tokens)
+        if tok in _BINDING or tok in (")", "<end>"):
+            raise ParseError(off, "an atom, 'false', 'true', '~' or '('")
+        operands.append(_KEYWORDS[tok] if tok in _KEYWORDS else Atom(tok))
+        tok, off = next(tokens)
+        while tok == ")" and depth:
+            _apply(pending, operands, 0)
+            pending.pop()
+            depth -= 1
+            tok, off = next(tokens)
+        if tok in _BINDING:
+            _apply(pending, operands, _BINDING[tok])
+            pending.append(tok)
+        elif tok == "<end>" and not depth:
+            _apply(pending, operands, 0)
+            return operands[0]
+        else:
+            raise ParseError(off, "')'" if depth else "end of input")
 
 
 # ---------------------------------------------------------------------------
-# Printing
-#
-# Binding strength: -> (1, right assoc) < | (2) < & (3) < ~ (4) < atomic.
-# The right operand of -> is parenthesised when it is a disjunction or
-# conjunction even though re-parsing would not require it; chains such as
-# "p1 -> p2 -> p3" stay bare.
-
-def _is_neg(f: Formula) -> bool:
-    return isinstance(f, Implies) and f.right == Bottom()
+# Folding and printing
 
 
-def _render(f: Formula, level: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Top):
-        return "true"
-    if _is_neg(f):
-        return "~" + _render(f.left, 4)
-    if isinstance(f, Implies):
-        right = _render(f.right, 1)
-        if isinstance(f.right, (And, Or)):
-            right = "(" + right + ")"
-        s = _render(f.left, 2) + " -> " + right
-        return "(" + s + ")" if level > 1 else s
-    if isinstance(f, Or):
-        s = _render(f.left, 2) + " | " + _render(f.right, 3)
-        return "(" + s + ")" if level > 2 else s
-    if isinstance(f, And):
-        s = _render(f.left, 3) + " & " + _render(f.right, 4)
-        return "(" + s + ")" if level > 3 else s
-    raise TypeError(f"not a formula: {f!r}")
+def fold(f: Formula, leaf, node):
+    """f's value computed bottom-up with an explicit stack: leaf(g) at atoms
+    and constants, node(g, left, right) at connectives. Leaves are visited
+    left to right."""
+    values: list = []
+    stack = [f]  # a connective followed by None has both operand values on top of values
+    while stack:
+        g = stack.pop()
+        if g is None:
+            g = stack.pop()
+            right = values.pop()
+            values[-1] = node(g, values[-1], right)
+        elif isinstance(g, (And, Or, Implies)):
+            stack += (g, None, g.right, g.left)
+        else:
+            values.append(leaf(g))
+    return values[0]
+
+
+# Binding level: -> 1 < | 2 < & 3 < ~ 4 < atomic 5. An operand is bracketed
+# when its level is in the set for its side; the right operand of -> is
+# when it is a disjunction or conjunction, though re-parsing would not need it.
+_INFIX = {
+    Implies: (" -> ", 1, {1}, {2, 3}),
+    Or: (" | ", 2, {1}, {1, 2}),
+    And: (" & ", 3, {1, 2}, {1, 2, 3}),
+}
+
+
+def _bracket(operand: tuple[str, int], levels: set[int]) -> str:
+    text, level = operand
+    return "(" + text + ")" if level in levels else text
+
+
+def _print_leaf(g: Formula) -> tuple[str, int]:
+    if not isinstance(g, (Atom, Bottom, Top)):
+        raise TypeError(f"not a formula: {g!r}")
+    return (g.name if isinstance(g, Atom) else "true" if isinstance(g, Top) else "false"), 5
+
+
+def _print_node(g: Formula, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+    if isinstance(g, Implies) and isinstance(g.right, Bottom):
+        return "~" + _bracket(left, {1, 2, 3}), 4
+    op, level, wrap_left, wrap_right = _INFIX[type(g)]
+    return _bracket(left, wrap_left) + op + _bracket(right, wrap_right), level
 
 
 def pretty(f: Formula) -> str:
-    return _render(f, 1)
+    return fold(f, _print_leaf, _print_node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +209,6 @@ def bd(d: int) -> Formula:
 
 def atoms(f: Formula) -> list[str]:
     """Atom names in first-occurrence order, duplicates removed."""
-    seen: list[str] = []
-
-    def walk(g: Formula):
-        if isinstance(g, Atom):
-            if g.name not in seen:
-                seen.append(g.name)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return seen
+    seen: dict[str, None] = {}
+    fold(f, lambda g: isinstance(g, Atom) and seen.setdefault(g.name), lambda g, left, right: None)
+    return list(seen)

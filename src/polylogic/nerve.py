@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poset
-from .errors import EmptyPoset, NotACountermodel, SoundnessError
+from .errors import CapExceeded, EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
-from .poset import MonotoneMap, Poset
+from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset
 from .simplicial import Complex, DefinableSet, build_complex, complex_to_json
 
 __all__ = [
@@ -24,22 +24,33 @@ __all__ = [
 def _chains(a: Poset) -> list[int]:
     """All nonempty chains as element masks, in ascending order of their
     sorted index tuples: each chain is followed by its extensions by a
-    larger index comparable to every element of it."""
+    larger index comparable to every element of it. Raises CapExceeded
+    before enumerating more than DEFAULT_UPSET_CAP chains."""
     if len(a) == 0:
         raise EmptyPoset("the empty poset has no nonempty chains")
+    count = _chain_count(a)
+    if count > DEFAULT_UPSET_CAP:
+        raise CapExceeded(count, f"more than {DEFAULT_UPSET_CAP} chains, the enumeration cap")
     out = []
-
-    def extend(chain, comparable, last):
+    stack = [(1 << i, a.up[i] | a.down[i], i) for i in reversed(range(len(a)))]
+    while stack:
+        chain, comparable, last = stack.pop()
         out.append(chain)
         rest = comparable >> last + 1 << last + 1
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            extend(chain | 1 << j, comparable & (a.up[j] | a.down[j]), j)
-            rest &= rest - 1
-
-    for i in range(len(a)):
-        extend(1 << i, a.up[i] | a.down[i], i)
+        while rest:  # push the extensions largest index first, so the smallest pops next
+            j = rest.bit_length() - 1
+            stack.append((chain | 1 << j, comparable & (a.up[j] | a.down[j]), j))
+            rest ^= 1 << j
     return out
+
+
+def _chain_count(a: Poset) -> int:
+    """The number of nonempty chains: g(x) = 1 + sum of g(y) over y < x have
+    maximum x, taken in down-set size order, a linear extension."""
+    g = [0] * len(a)
+    for x in sorted(range(len(a)), key=lambda i: a.down[i].bit_count()):
+        g[x] = 1 + sum(g[y] for y in range(len(a)) if a.down[x] >> y & 1 and y != x)
+    return sum(g)
 
 
 def _chain_name(a: Poset, chain: int) -> str:

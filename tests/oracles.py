@@ -28,18 +28,28 @@ Maps and chains: the checks that compared element names in pairs before
 maps were kept as image indices and checked one mask identity per point,
 and the chains as sorted index tuples and frozensets before they became
 one list of masks shared by the nerve, the realization and the max map.
+
+Formulas: the tokenizer and recursive-descent parser, the recursive
+printer and atom walk, and the recursive frame and bit-sliced evaluators,
+as they were before parsing went over two explicit stacks and every other
+walk became a ``formula.fold``. They recurse once or more per nesting level, so they
+hold only formulas a few hundred levels deep.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from polylogic.algebra import FiniteHeyting, algebra_depth, eval_formula
+from polylogic.algebra import FiniteHeyting, algebra_depth
 from polylogic.algebra import join_irreducibles as program_join_irreducibles
-from polylogic.formula import And, Atom, Bottom, Or, Top, atoms
+from polylogic.errors import MissingAtom, ParseError
+from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, neg
 from polylogic.pipeline import Report
 from polylogic.poset import Poset, _canonical_form, enumerate_posets
 from polylogic.simplicial import build_complex
@@ -514,3 +524,183 @@ def transferred_valuation(a, valuation):
         nerve_mask = sum(1 << k for k, name in enumerate(images) if mask >> a.index[name] & 1)
         out[p] = face.mask_of(nv.names_of(nerve_mask))
     return out
+
+
+TOKEN_RE = re.compile(
+    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)"
+    r"|(?P<op>[|&~()]))"
+)
+
+
+def tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            off = len(text) - len(stripped)
+            raise ParseError(off, f"a token (got {stripped[0]!r})")
+        if m.group("ident"):
+            tokens.append((m.group("ident"), m.start("ident")))
+        elif m.group("arrow"):
+            tokens.append(("->", m.start("arrow")))
+        else:
+            tokens.append((m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("<end>", len(text)))
+    return tokens
+
+
+class Parser:
+    """Recursive descent over the grammar in the formula module docstring."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def offset(self):
+        return self.tokens[self.i][1]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        if self.peek() != kind:
+            raise ParseError(self.offset(), f"{kind!r}")
+        return self.advance()
+
+    def form(self):
+        left = self.disj()
+        if self.peek() == "->":
+            self.advance()
+            return Implies(left, self.form())
+        return left
+
+    def disj(self):
+        f = self.conj()
+        while self.peek() == "|":
+            self.advance()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.negated()
+        while self.peek() == "&":
+            self.advance()
+            f = And(f, self.negated())
+        return f
+
+    def negated(self):
+        if self.peek() == "~":
+            self.advance()
+            return neg(self.negated())
+        return self.atomic()
+
+    def atomic(self):
+        tok = self.peek()
+        if tok == "(":
+            self.advance()
+            f = self.form()
+            self.expect(")")
+            return f
+        if tok in ("false", "true"):
+            self.advance()
+            return Bottom() if tok == "false" else Top()
+        if tok not in ("->", "|", "&", "~", ")", "<end>"):
+            name, _ = self.advance()
+            return Atom(name)
+        raise ParseError(self.offset(), "an atom, 'false', 'true', '~' or '('")
+
+
+def parse(text: str):
+    p = Parser(text)
+    f = p.form()
+    if p.peek() != "<end>":
+        raise ParseError(p.offset(), "end of input")
+    return f
+
+
+def render(f, level: int) -> str:
+    """f printed in a context of binding level: -> 1, | 2, & 3, ~ 4."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Implies) and f.right == Bottom():
+        return "~" + render(f.left, 4)
+    if isinstance(f, Implies):
+        right = render(f.right, 1)
+        if isinstance(f.right, (And, Or)):
+            right = "(" + right + ")"
+        s = render(f.left, 2) + " -> " + right
+        return "(" + s + ")" if level > 1 else s
+    if isinstance(f, Or):
+        s = render(f.left, 2) + " | " + render(f.right, 3)
+        return "(" + s + ")" if level > 2 else s
+    s = render(f.left, 3) + " & " + render(f.right, 4)
+    return "(" + s + ")" if level > 3 else s
+
+
+def pretty(f) -> str:
+    return render(f, 1)
+
+
+def atoms(f) -> list[str]:
+    """Atom names in first-occurrence order, duplicates removed."""
+    seen = []
+
+    def walk(g):
+        if isinstance(g, Atom):
+            if g.name not in seen:
+                seen.append(g.name)
+        elif isinstance(g, (And, Or, Implies)):
+            walk(g.left)
+            walk(g.right)
+
+    walk(f)
+    return seen
+
+
+def eval_formula(frame, valuation, f) -> int:
+    """f in Up(frame) under valuation, an up-set mask per atom name."""
+    if isinstance(f, Atom):
+        if f.name not in valuation:
+            raise MissingAtom(f.name)
+        return valuation[f.name]
+    if isinstance(f, Bottom):
+        return 0
+    if isinstance(f, Top):
+        return frame.full_mask
+    left = eval_formula(frame, valuation, f.left)
+    right = eval_formula(frame, valuation, f.right)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    return frame.imp(left, right)
+
+
+def eval_sliced(f, env, ups, ones) -> list[int]:
+    """f at every frame point over a batch of valuations, one bit each."""
+    if isinstance(f, Atom):
+        return env[f.name]
+    if isinstance(f, (Bottom, Top)):
+        return [ones if isinstance(f, Top) else 0] * len(ups)
+    a = eval_sliced(f.left, env, ups, ones)
+    b = eval_sliced(f.right, env, ups, ones)
+    if isinstance(f, And):
+        return [x & y for x, y in zip(a, b)]
+    if isinstance(f, Or):
+        return [x | y for x, y in zip(a, b)]
+    fails = [x & ~y for x, y in zip(a, b)]
+    return [ones ^ reduce(or_, map(fails.__getitem__, up)) for up in ups]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import polylogic
 from polylogic.cli import main
 from polylogic.corpus import write_corpus
+from polylogic.formula import atoms, parse
 
 
 @pytest.fixture(scope="module")
@@ -176,18 +177,37 @@ def test_bad_complex_and_valuation_files_exit_2(capsys, corpus_dir, tmp_path):
         assert code == 2 and err.startswith("error") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["formula", "bd", "2000"], id="bd-2000"),
-    pytest.param(["formula", "print", "~" * 3000 + "p"], id="3000-negations"),
-    pytest.param(["formula", "print", "(" * 3000 + "p" + ")" * 3000], id="3000-parentheses"),
-    pytest.param(["frame", "check", "(" * 3000 + "p" + ")" * 3000], id="frame-3000-parentheses"),
-    pytest.param(["frame", "check", " & ".join(["p"] * 3000)], id="frame-3000-conjuncts"),
+REFUTED = "Refuted with p={}"
+
+
+# These inputs are nested deeper than Python's recursion limit. The test
+# keeps the name and ids it had when they were refused with exit 2; it now
+# asserts their answers.
+@pytest.mark.parametrize("argv, want_code, want", [
+    pytest.param(["formula", "bd", "2000"], 0, None, id="bd-2000"),
+    pytest.param(["formula", "print", "~" * 3000 + "p"], 0, "~" * 3000 + "p", id="3000-negations"),
+    pytest.param(["formula", "print", "(" * 3000 + "p" + ")" * 3000], 0, "p", id="3000-parentheses"),
+    pytest.param(["frame", "check", "(" * 3000 + "p" + ")" * 3000], 1, REFUTED,
+                 id="frame-3000-parentheses"),
+    pytest.param(["frame", "check", " & ".join(["p"] * 3000)], 1, REFUTED, id="frame-3000-conjuncts"),
 ])
-def test_deep_nesting_exits_2_with_one_line(capsys, tmp_path, argv):
-    # the conjunction chain parses without recursion and nests in evaluation
+def test_deep_nesting_exits_2_with_one_line(capsys, tmp_path, argv, want_code, want):
     if argv[0] == "frame":
         argv = argv + [str(_write(tmp_path / "one.json", '{"elements": ["a"], "covers": []}'))]
     code, out, err = run(capsys, *argv)
+    assert (code, err) == (want_code, "")
+    if want is not None:
+        assert out == want + "\n"
+        return
+    text = out.strip()  # bd 2000 prints back to itself
+    assert run(capsys, "formula", "print", text) == (0, out, "")
+    assert atoms(parse(text)) == [f"p{k}" for k in range(2000, -1, -1)]
+
+
+@pytest.mark.parametrize("n", [21, 1100])
+def test_nerve_realize_refuses_over_2_20_chains(capsys, tmp_path, n):
+    # a 21-chain has 2**21 - 1 nonempty chains, a 1100-chain about 2**1100
+    code, out, err = run(capsys, "nerve", "realize", str(_chain_file(tmp_path / "c.json", n)))
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -330,6 +350,15 @@ def test_suite_json_output(capsys, corpus_dir):
     assert {r["subject"] for r in data["reports"]} == {
         "square", "simplex0", "simplex1", "simplex2", "simplex3", "simplex4", "sphere2"
     }
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--json", "suite", "ji"], id="before-the-subcommand"),
+    pytest.param(["suite", "ji", "--json"], id="after-the-subcommand"),
+])
+def test_suite_json_flag_in_either_position(capsys, corpus_dir, argv):
+    code, out, _ = run(capsys, *argv, "--corpus", str(corpus_dir))
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_suite_seed_recorded(capsys, corpus_dir):

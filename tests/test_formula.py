@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import oracles
+from polylogic.algebra import eval_formula, is_valid
 from polylogic.errors import MalformedInput, ParseError
 from polylogic.formula import (
     And,
@@ -15,6 +17,7 @@ from polylogic.formula import (
     parse,
     pretty,
 )
+from polylogic.poset import Poset
 
 
 def test_parse_atoms_and_constants():
@@ -123,3 +126,62 @@ def test_strategy_reaches_thirteen_nodes():
 
     draw()
     assert len(sizes) >= 50 and max(sizes) >= 13
+
+
+@settings(max_examples=50, deadline=None)
+@given(_formulae)
+def test_printer_and_atoms_match_the_recursive_oracles(f):
+    assert pretty(f) == oracles.pretty(f)
+    assert atoms(f) == oracles.atoms(f)
+
+
+# Strings over the token alphabet, mostly invalid, and strings built by the
+# grammar with parentheses, negations and operators placed freely.
+_token_strings = st.builds(
+    str.join,
+    st.sampled_from(["", " "]),
+    st.lists(st.sampled_from(["p", "q1", "false", "true", "~", "&", "|", "->", "(", ")", "-", "$"]),
+             max_size=12),
+)
+_grammar_strings = st.recursive(
+    st.sampled_from(["p", "q1", "false", "true"]),
+    lambda sub: st.one_of(
+        st.builds("~{}".format, sub),
+        st.builds("({})".format, sub),
+        st.builds("{}{}{}".format, sub, st.sampled_from([" & ", "|", " -> "]), sub),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_token_strings, _grammar_strings))
+def test_parse_matches_the_recursive_descent_oracle(text):
+    try:
+        want = oracles.parse(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.offset, exc.value.expected) == (e.offset, e.expected)
+        return
+    got = parse(text)
+    assert got == want and pretty(got) == oracles.pretty(want)
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("text, printed, valid", [
+    pytest.param("(" * DEEP + "p" + ")" * DEEP, "p", False, id="parentheses"),
+    pytest.param("~" * DEEP + "p", "~" * DEEP + "p", False, id="negations"),
+    pytest.param(" -> ".join(["p"] * DEEP), " -> ".join(["p"] * DEEP), True, id="implications"),
+])
+def test_formulas_100000_deep_need_no_recursion(text, printed, valid):
+    # negations nest to the left, implications to the right; compared as
+    # text because the dataclass == and repr of formula nodes recurse
+    f = parse(text)
+    assert pretty(f) == printed
+    assert atoms(f) == ["p"]
+    point = Poset(["a"], [1])
+    assert eval_formula(point, {"p": 0}, f) == int(valid)
+    assert is_valid(point, f).valid is valid

@@ -1,6 +1,8 @@
 """Rooted-frame countermodel search and whole-batch validity checks,
 each against the slower code in oracles.py."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,22 @@ def test_batched_is_valid_matches_two_atom_loop(f):
     for frame in SMALL_FRAMES:
         res = is_valid(frame, f)
         assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(formulas(1, 3), st.randoms(use_true_random=False))
+def test_folded_evaluators_match_the_recursive_oracles(f, rnd):
+    names = oracles.atoms(f)
+    for frame in SMALL_FRAMES:
+        h = FiniteHeyting(frame)
+        valuation = {p: rnd.choice(h.carrier) for p in names}
+        assert eval_formula(frame, valuation, f) == oracles.eval_formula(frame, valuation, f)
+        ups = [[j for j in range(len(frame)) if up >> j & 1] for up in frame.up]
+        env = {p: [rnd.getrandbits(8) for _ in ups] for p in names}
+        assert algebra._eval_sliced(f, env, ups, 255) == oracles.eval_sliced(f, env, ups, 255)
+        with patch.object(algebra, "_eval_sliced", oracles.eval_sliced):
+            want = is_valid(frame, f, algebra=h)
+        assert is_valid(frame, f, algebra=h) == want
 
 
 def test_batched_is_valid_on_named_formulas():
