@@ -9,8 +9,7 @@ element order, so the canonical enumeration order is ascending integers
 and the top element is always the last carrier entry.
 
 is_valid is bit-sliced: a subformula's value at a frame point is one int
-whose bit b is its value when the last r atoms take the carrier indices
-written by the base-m digits of b.
+whose bit b is its value under the b-th valuation of a block.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class FiniteHeyting:
     def __init__(self, frame: Poset, cap: int = DEFAULT_UPSET_CAP):
         self.frame = frame
         self.carrier: list[int] = frame.all_upsets(cap)
-        self.index = {u: i for i, u in enumerate(self.carrier)}
         self.bot = 0
         self.top = frame.full_mask
         self._tables = None
@@ -70,12 +68,15 @@ class FiniteHeyting:
     def imp(self, u: int, v: int) -> int:
         return self.frame.imp(u, v)
 
-    # Membership columns, built on demand for is_valid: bit v of column i
-    # is set iff point i lies in carrier[v].
     def tables(self) -> list[int]:
+        """Membership columns, built once: bit v of column i is set iff point
+        i lies in carrier[v]. One transpose: in the carrier's n-digit binary
+        numerals, written last first by one format call, column i is a
+        stride-n slice."""
         if self._tables is None:
-            self._tables = [sum(1 << v for v, u in enumerate(self.carrier) if u >> i & 1)
-                            for i in range(len(self.frame))]
+            n, m = len(self.frame), len(self.carrier)
+            text = (f"{{:0{n}b}}" * m).format(*reversed(self.carrier))
+            self._tables = [int(text[n - 1 - i::n], 2) for i in range(n)]
         return self._tables
 
 
@@ -156,37 +157,45 @@ def is_valid(
     that order (all m**k valuations when f is valid). Raises BudgetExceeded
     before starting if the search space is larger than the budget.
 
-    The last r atoms, the longest suffix with m**r <= _BATCH, are checked
-    in one pass per choice for the others: bit b gives them the base-m
-    digits of b, the first atom's most significant. Bit order is then
-    lexicographic, so the lowest 0 bit at any point is the first refutation.
+    A pass checks a block of at most _BATCH consecutive valuations: the last
+    r atoms, the longest suffix with m**r <= _BATCH, take all m**r values;
+    the atom before them a window of c = _BATCH // m**r values (the last
+    window may be shorter); the atoms before it are fixed. Bit b gives the
+    window atom its (b // m**r)-th value and the last r atoms the base-m
+    digits of b % m**r, so the lowest 0 bit is the block's first refutation.
+    The last r atoms' patterns are built once per window width.
     """
     h = algebra if algebra is not None else FiniteHeyting(frame, cap)
     names = atoms(f)
-    m = len(h)
-    k = len(names)
+    m, k = len(h), len(names)
     total = m**k
     if total > budget:
         raise BudgetExceeded(total)
-    r = 0
-    while r < k and m ** (r + 1) <= _BATCH:
-        r += 1
-    inner, outer = names[k - r:], names[: k - r]
-    size = m**r
-    ones = (1 << size) - 1
-    n = len(h.frame)
+    r = next(r for r in range(k, -1, -1) if m**r <= _BATCH)
+    outer, window, inner = names[: max(k - r - 1, 0)], names[k - r - 1: k - r], names[k - r:]
+    size, cols, n = m**r, h.tables(), len(h.frame)
     ups = [[j for j in range(n) if up >> j & 1] for up in h.frame.up]
-    env = {name: [_pattern(col, m, m ** (r - 1 - j), m**j) for col in h.tables()]
-           for j, name in enumerate(inner)}
-    fixed = [[ones if u >> i & 1 else 0 for i in range(n)] for u in h.carrier] if outer else []
-    for done, combo in enumerate(itertools.product(range(m), repeat=len(outer))):
-        env.update(zip(outer, (fixed[v] for v in combo)))
+    patterns: dict[int, dict] = {}  # window width -> inner atom patterns
+    done = 0  # valuations checked before the block
+    while done < total:
+        start = done // size % m  # the window atom's first value
+        w = min(_BATCH // size, m - start) if window else 1
+        ones = (1 << w * size) - 1
+        if w not in patterns:
+            patterns[w] = {a: [_pattern(col, m, m ** (r - 1 - j), m**j * w) for col in cols]
+                           for j, a in enumerate(inner)}
+        env = dict(patterns[w])
+        for j, a in enumerate(outer):
+            u = h.carrier[done // m ** (k - 1 - j) % m]
+            env[a] = [ones if u >> i & 1 else 0 for i in range(n)]
+        for a in window:
+            env[a] = [_pattern(col >> start & (1 << w) - 1, w, size, 1) for col in cols]
         miss = ones ^ reduce(and_, _eval_sliced(f, env, ups, ones), ones)
         if miss:
-            first = (miss & -miss).bit_length() - 1
-            chosen = list(combo) + [first // m ** (r - 1 - j) % m for j in range(r)]
-            valuation = {name: h.carrier[v] for name, v in zip(names, chosen)}
-            return ValidityResult(False, valuation, done * size + first + 1)
+            done += (miss & -miss).bit_length() - 1
+            valuation = {a: h.carrier[done // m ** (k - 1 - j) % m] for j, a in enumerate(names)}
+            return ValidityResult(False, valuation, done + 1)
+        done += w * size
     return ValidityResult(True, None, total)
 
 
@@ -194,25 +203,26 @@ def is_valid(
 # Join-irreducibles, Spec, and the Stone map
 
 
-def join_irreducibles(algebra) -> list[int]:
+def join_irreducibles(algebra: FiniteHeyting) -> list[int]:
     """Elements with exactly one lower cover, in ascending mask order.
 
-    The carrier must be all up-sets of a frame (all down-sets of P are the
-    up-sets of P.op()). Then a carrier element v < u lies below u minus x
-    for any x minimal in u \\ v, and that x is minimal in u, so u minus x
-    is in the carrier. The lower covers of u are thus the carrier elements
-    u minus one point; u is join-irreducible iff there is exactly one.
+    The carrier is all up-sets of the frame (the down-sets of P are the
+    up-sets of P.op()). A carrier element v < u lies below u minus x for
+    any x minimal in u \\ v, which is minimal in u, and u minus a minimal
+    point is an up-set: so u is join-irreducible iff it has exactly one
+    minimal point. Bit v of col_x & ~(the columns of x's lower covers) says
+    x is minimal in carrier[v]; ORs of these seen once and seen twice leave
+    the answer in once & ~twice.
     """
-    out = []
-    for u in algebra.carrier:
-        covers, rest = 0, u
-        while rest and covers < 2:
-            low = rest & -rest
-            covers += u ^ low in algebra.index
-            rest ^= low
-        if covers == 1:
-            out.append(u)
-    return out
+    frame, cols = algebra.frame, algebra.tables()
+    once = twice = 0
+    for x, col in enumerate(cols):
+        covers = frame.maximal_of(frame.down[x] & ~(1 << x))  # the lower covers of x
+        col &= ~reduce(or_, (c for y, c in enumerate(cols) if covers >> y & 1), 0)
+        twice |= once & col
+        once |= col
+    single = reversed(format(once & ~twice, "b"))
+    return [u for u, bit in zip(algebra.carrier, single) if bit == "1"]
 
 
 def spec(algebra) -> Poset:
@@ -226,20 +236,9 @@ def spec(algebra) -> Poset:
 
 
 def _spectrum(frame: Poset, jis: list[int]) -> Poset:
-    names = []
-    for j in jis:
-        members = frame.names_of(j)
-        names.append("{" + ",".join(members) + "}")
-    n = len(jis)
-    up = []
-    for i in range(n):
-        mask = 0
-        for k in range(n):
-            # F_{j_i} <= F_{j_k} iff j_k <= j_i
-            if jis[k] & ~jis[i] == 0:
-                mask |= 1 << k
-        up.append(mask)
-    return Poset(names, up)
+    # F_{j_i} <= F_{j_k} iff j_k <= j_i
+    names = ["{" + ",".join(frame.names_of(j)) + "}" for j in jis]
+    return Poset(names, [sum(1 << k for k, jk in enumerate(jis) if jk & ~ji == 0) for ji in jis])
 
 
 def _hom_failures(mapping: dict[int, int], src: Poset, dst: Poset) -> list:
@@ -277,13 +276,8 @@ def stone_map(h: FiniteHeyting):
     that it is a bijective Heyting homomorphism."""
     jis = join_irreducibles(h)
     sp = _spectrum(h.frame, jis)
-    mapping = {}
-    for u in h.carrier:
-        mask = 0
-        for k, j in enumerate(jis):
-            if j & ~u == 0:  # j <= u, i.e. u is in the filter generated by j
-                mask |= 1 << k
-        mapping[u] = mask
+    # j <= u iff u is in the filter generated by j
+    mapping = {u: sum(1 << k for k, j in enumerate(jis) if j & ~u == 0) for u in h.carrier}
     target = FiniteHeyting(sp)
     bijective = sorted(mapping.values()) == target.carrier
     failures = [] if bijective else ["image is not all of Up(Spec H)"]

@@ -14,9 +14,9 @@ Concrete grammar (lowest precedence first)::
     atomic := ident | "false" | "true" | "(" form ")"
 
 ``parse`` reads this grammar by operator precedence over two explicit
-stacks, and ``fold`` is the one walk over a formula: printing, atom lists
-and evaluation are folds. Neither recurses, so nesting depth is bounded
-only by memory.
+stacks, and ``fold`` is the one walk over a formula: printing, atom lists,
+evaluation, ==, hash and repr are folds. Neither recurses, so nesting
+depth is bounded only by memory.
 """
 
 from __future__ import annotations
@@ -47,20 +47,44 @@ class Top:
     pass
 
 
-@dataclass(frozen=True)
-class And:
+class _Connective:
+    """==, hash and repr without recursion. == is the dataclass equality:
+    the leaves and connective classes in postorder fix the tree, since
+    the classes give the arities."""
+
+    __slots__ = ()
+
+    def _postorder(self) -> list:
+        out: list = []
+        fold(self, out.append, lambda g, left, right: out.append(g.__class__))
+        return out
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._postorder() == other._postorder() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._postorder()))
+
+    def __repr__(self):
+        return _join(fold(self, repr, lambda g, left, right: (
+            f"{type(g).__name__}(left=", left, ", right=", right, ")")))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, repr=False)
+class Implies(_Connective):
     left: "Formula"
     right: "Formula"
 
@@ -171,9 +195,21 @@ _INFIX = {
 }
 
 
-def _bracket(operand: tuple[str, int], levels: set[int]) -> str:
-    text, level = operand
-    return "(" + text + ")" if level in levels else text
+def _join(pieces) -> str:
+    """The strings of nested tuples of strings, in order, joined once."""
+    out, stack = [], [pieces]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        else:
+            stack += reversed(x)
+    return "".join(out)
+
+
+def _bracket(operand: tuple, levels: set[int]):
+    pieces, level = operand
+    return ("(", pieces, ")") if level in levels else pieces
 
 
 def _print_leaf(g: Formula) -> tuple[str, int]:
@@ -182,15 +218,15 @@ def _print_leaf(g: Formula) -> tuple[str, int]:
     return (g.name if isinstance(g, Atom) else "true" if isinstance(g, Top) else "false"), 5
 
 
-def _print_node(g: Formula, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+def _print_node(g: Formula, left: tuple, right: tuple) -> tuple:
     if isinstance(g, Implies) and isinstance(g.right, Bottom):
-        return "~" + _bracket(left, {1, 2, 3}), 4
+        return ("~", _bracket(left, {1, 2, 3})), 4
     op, level, wrap_left, wrap_right = _INFIX[type(g)]
-    return _bracket(left, wrap_left) + op + _bracket(right, wrap_right), level
+    return (_bracket(left, wrap_left), op, _bracket(right, wrap_right)), level
 
 
 def pretty(f: Formula) -> str:
-    return fold(f, _print_leaf, _print_node)[0]
+    return _join(fold(f, _print_leaf, _print_node)[0])
 
 
 # ---------------------------------------------------------------------------

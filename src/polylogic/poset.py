@@ -183,27 +183,17 @@ class Poset:
     # -- up-set enumeration ----------------------------------------------
 
     def all_upsets(self, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
-        """Every up-set as a bitmask, ascending. Raises CapExceeded."""
-        n = len(self.elements)
-        # Process elements maximal-first (smallest principal up-set first)
-        # so that when an element is decided, everything strictly above it
-        # has already been decided.
-        order = sorted(range(n), key=lambda i: bin(self.up[i]).count("1"))
-        out: list[int] = []
-        stack = [(0, 0)]  # (position in order, mask so far)
-        while stack:
-            pos, mask = stack.pop()
-            if pos == n:
-                out.append(mask)
-                if len(out) > cap:
-                    raise CapExceeded(len(out))
-                continue
-            i = order[pos]
-            stack.append((pos + 1, mask))
-            if self.up[i] & ~(1 << i) & ~mask == 0:
-                stack.append((pos + 1, mask | 1 << i))
-        out.sort()
-        return out
+        """Every up-set as a bitmask, ascending; CapExceeded as soon as more
+        than cap are found. Grown maximal-first (smallest principal up-set
+        first): each up-set of the elements seen so far that holds all of
+        up(x) minus x gains a copy with x added. One sort at the end."""
+        out = [0]
+        for i in sorted(range(len(self.elements)), key=lambda i: self.up[i].bit_count()):
+            bit, above = 1 << i, self.up[i] & ~(1 << i)
+            out += [u | bit for u in out if u & above == above]
+            if len(out) > cap:
+                raise CapExceeded(len(out))
+        return sorted(out)
 
     # -- isomorphism ------------------------------------------------------
 

@@ -34,6 +34,12 @@ printer and atom walk, and the recursive frame and bit-sliced evaluators,
 as they were before parsing went over two explicit stacks and every other
 walk became a ``formula.fold``. They recurse once or more per nesting level, so they
 hold only formulas a few hundred levels deep.
+
+Up-sets: the depth-first up-set enumeration, the membership columns
+summed one (point, up-set) pair at a time, and the join-irreducible scan
+that looked each u minus one point up in a carrier index, as they were
+before up-sets were grown element by element, the columns became one
+transpose and join-irreducibles were read off the columns.
 """
 
 from __future__ import annotations
@@ -46,12 +52,11 @@ from operator import or_
 
 import numpy as np
 
-from polylogic.algebra import FiniteHeyting, algebra_depth
-from polylogic.algebra import join_irreducibles as program_join_irreducibles
-from polylogic.errors import MissingAtom, ParseError
+from polylogic.algebra import FiniteHeyting, _spectrum
+from polylogic.errors import CapExceeded, MissingAtom, ParseError
 from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, neg
 from polylogic.pipeline import Report
-from polylogic.poset import Poset, _canonical_form, enumerate_posets
+from polylogic.poset import DEFAULT_UPSET_CAP, Poset, _canonical_form, enumerate_posets
 from polylogic.simplicial import build_complex
 
 
@@ -268,8 +273,8 @@ def is_valid(frame, f):
         ok = eval_formula(frame, {}, f) == frame.full_mask
         return ok, None if ok else {}, 1
     tables = operation_tables(h)
-    bot_idx = h.index[h.bot]
-    top_idx = h.index[h.top]
+    bot_idx = h.carrier.index(h.bot)
+    top_idx = h.carrier.index(h.top)
     inner = names[-2:] if k >= 2 else names[-1:]
     outer = names[: k - len(inner)]
     if len(inner) == 2:
@@ -355,6 +360,51 @@ def join_irreducibles(algebra):
     return out
 
 
+def all_upsets(p, cap=DEFAULT_UPSET_CAP):
+    """Every up-set of p, ascending, by a depth-first search that decides
+    the elements maximal-first; CapExceeded past cap leaves."""
+    n = len(p)
+    order = sorted(range(n), key=lambda i: bin(p.up[i]).count("1"))
+    out = []
+    stack = [(0, 0)]  # (position in order, mask so far)
+    while stack:
+        pos, mask = stack.pop()
+        if pos == n:
+            out.append(mask)
+            if len(out) > cap:
+                raise CapExceeded(len(out))
+            continue
+        i = order[pos]
+        stack.append((pos + 1, mask))
+        if p.up[i] & ~(1 << i) & ~mask == 0:
+            stack.append((pos + 1, mask | 1 << i))
+    out.sort()
+    return out
+
+
+def membership_columns(h):
+    """Bit v of column i is set iff point i lies in h.carrier[v]."""
+    return [sum(1 << v for v, u in enumerate(h.carrier) if u >> i & 1)
+            for i in range(len(h.frame))]
+
+
+def join_irreducibles_by_covers(algebra):
+    """Carrier elements u with exactly one lower cover, found by looking
+    each u minus one point up in the carrier; the carrier must be all
+    up-sets or all down-sets of a frame."""
+    index = set(algebra.carrier)
+    out = []
+    for u in algebra.carrier:
+        covers, rest = 0, u
+        while rest and covers < 2:
+            low = rest & -rest
+            covers += u ^ low in index
+            rest ^= low
+        if covers == 1:
+            out.append(u)
+    return out
+
+
 def minimal_of(p, mask):
     """Minimal elements of the subset given by mask."""
     out = 0
@@ -370,7 +420,6 @@ class LowerSets:
     def __init__(self, frame):
         self.frame = frame
         self.carrier = sorted(frame.full_mask & ~u for u in frame.all_upsets())
-        self.index = {u: i for i, u in enumerate(self.carrier)}
         self.bot = 0
 
     def __len__(self):
@@ -378,25 +427,25 @@ class LowerSets:
 
 
 def verify_ji(k):
-    """The ji report with PC^c(K) on the down-sets of the face poset: two
-    join-irreducible scans for the checks and two more for the depths."""
+    """The ji report with PC^c(K) on the down-sets of the face poset, one
+    carrier-index scan per algebra, the depths read off their spectra."""
     rep = Report("ji")
     face = k.face_poset()
     closed, opened = LowerSets(face), FiniteHeyting(face)
-    jis_c = program_join_irreducibles(closed)
+    jis_c = join_irreducibles_by_covers(closed)
     principal_down = sorted(face.down[i] for i in range(len(face)))
     rep.add(
         f"JI(PC^c) = principal down-sets of the {len(face)} simplices",
         jis_c == principal_down,
     )
-    jis_o = program_join_irreducibles(opened)
+    jis_o = join_irreducibles_by_covers(opened)
     stars = sorted(face.up[i] for i in range(len(face)))
     rep.add(f"JI(PC^o) = the {len(face)} open stars", jis_o == stars)
     d = k.dim()
     if len(closed) > 1:
         rep.add(
             f"longest prime-filter chain = dim+1 = {d + 1} in both algebras",
-            algebra_depth(closed) == d and algebra_depth(opened) == d,
+            _spectrum(face, jis_c).depth() == d and _spectrum(face, jis_o).depth() == d,
         )
     else:
         rep.add("trivial algebra on the empty complex", d == -1)
@@ -704,3 +753,18 @@ def eval_sliced(f, env, ups, ones) -> list[int]:
         return [x | y for x, y in zip(a, b)]
     fails = [x & ~y for x, y in zip(a, b)]
     return [ones ^ reduce(or_, map(fails.__getitem__, up)) for up in ups]
+
+
+def structure(f):
+    """f as nested tuples (class, fields...), compared the way the
+    dataclass-generated == compared formula nodes."""
+    if isinstance(f, (And, Or, Implies)):
+        return (type(f), structure(f.left), structure(f.right))
+    return (type(f), f.name) if isinstance(f, Atom) else (type(f),)
+
+
+def dataclass_repr(f) -> str:
+    """The dataclass-generated repr of a formula node."""
+    if isinstance(f, (And, Or, Implies)):
+        return f"{type(f).__name__}(left={dataclass_repr(f.left)}, right={dataclass_repr(f.right)})"
+    return f"Atom(name={f.name!r})" if isinstance(f, Atom) else f"{type(f).__name__}()"

@@ -146,6 +146,19 @@ def test_join_irreducibles_of_upsets_are_principal():
         assert join_irreducibles(h) == sorted(p.up[i] for i in range(len(p)))
 
 
+def test_upset_layer_matches_the_replaced_code():
+    # growth against depth-first up-sets, the transpose against summed
+    # columns, columns against the carrier-index scan for join-irreducibles
+    frames = [Poset((), ())] + [p for n in range(1, 6) for p in enumerate_posets(n)]
+    frames += [k.face_poset() for k in corpus_complexes().values()]
+    frames += [Poset([f"a{i}" for i in range(12)], [1 << i for i in range(12)]), chain(70)]
+    for p in frames + [p.op() for p in frames]:
+        h = FiniteHeyting(p)
+        assert h.carrier == oracles.all_upsets(p)
+        assert h.tables() == oracles.membership_columns(h)
+        assert join_irreducibles(h) == oracles.join_irreducibles_by_covers(h)
+
+
 def test_join_irreducibles_oracle():
     # brute force: j is join-irreducible iff j != 0 and j is not the join
     # of the elements strictly below it; the 70-chain is wider than a

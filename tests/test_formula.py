@@ -135,6 +135,16 @@ def test_printer_and_atoms_match_the_recursive_oracles(f):
     assert atoms(f) == oracles.atoms(f)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_formulae, _formulae)
+def test_eq_hash_and_repr_match_the_dataclass_ones(f, g):
+    for x, y in ((f, g), (f, parse(pretty(f)))):
+        assert (x == y) == (oracles.structure(x) == oracles.structure(y))
+        assert x != y or hash(x) == hash(y)
+    assert repr(f) == oracles.dataclass_repr(f)
+    assert f != pretty(f) and f == parse(pretty(f))
+
+
 # Strings over the token alphabet, mostly invalid, and strings built by the
 # grammar with parentheses, negations and operators placed freely.
 _token_strings = st.builds(
@@ -177,9 +187,10 @@ DEEP = 100_000
     pytest.param(" -> ".join(["p"] * DEEP), " -> ".join(["p"] * DEEP), True, id="implications"),
 ])
 def test_formulas_100000_deep_need_no_recursion(text, printed, valid):
-    # negations nest to the left, implications to the right; compared as
-    # text because the dataclass == and repr of formula nodes recurse
-    f = parse(text)
+    # negations nest to the left, implications to the right
+    f, g = parse(text), parse(text)
+    assert f == g and hash(f) == hash(g) and f != parse(text.replace("p", "q"))
+    assert repr(f).count("Atom(name='p')") == printed.count("p")
     assert pretty(f) == printed
     assert atoms(f) == ["p"]
     point = Poset(["a"], [1])

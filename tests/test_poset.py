@@ -91,6 +91,15 @@ def test_all_upsets_are_sorted_and_capped():
         p.all_upsets(cap=3)
 
 
+def test_growth_stops_at_the_cap():
+    # a 40-antichain has 2**40 up-sets; growth doubles the list once per
+    # element and stops at the first doubling past the cap
+    p = Poset([f"a{i}" for i in range(40)], [1 << i for i in range(40)])
+    with pytest.raises(CapExceeded) as exc:
+        p.all_upsets(cap=1024)
+    assert 1024 < exc.value.count <= 2 * 1024 + 1
+
+
 def test_downsets_are_complements_of_upsets():
     p = diamond()
     full = p.full_mask

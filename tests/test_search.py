@@ -109,6 +109,18 @@ def test_is_valid_across_batch_sizes(monkeypatch, batch):
             assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
 
 
+def test_is_valid_with_a_short_last_window(monkeypatch):
+    # a batch of m * (m - 1) valuations: the window atom takes m - 1 values
+    # and then 1, since m - 1 does not divide m for m >= 3
+    for frame in SMALL_FRAMES:
+        m = len(FiniteHeyting(frame))
+        if m >= 3:
+            monkeypatch.setattr(algebra, "_BATCH", m * (m - 1))
+            for f in EDGE_FORMULAS:
+                res = is_valid(frame, f)
+                assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
+
+
 def test_is_valid_on_a_ten_antichain():
     frame = Poset([f"a{i}" for i in range(10)], [1 << i for i in range(10)])
     for text in ["p | ~p", "~p | ~~p", "(p -> q) | (q -> p)", "p -> (q -> p)"]:
