@@ -191,11 +191,26 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+    def bounded_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+    return bounded_int
+
+
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="polylogic")
+    # a bad option value raises ArgumentError, which main reports in one line
+    ap = argparse.ArgumentParser(prog="polylogic", exit_on_error=False)
     ap.add_argument("--json", action="store_true", help="JSON output where applicable")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, exit_on_error=False))
 
     p = sub.add_parser("formula", help="parse, pretty-print, or generate formulae")
     p.add_argument("action", choices=["parse", "print", "bd"])
@@ -232,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counter", help="bounded countermodel search")
     p.add_argument("formula")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=5)
+    p.add_argument("--depth", type=_at_least(0), default=None)
+    p.add_argument("--max-size", type=_at_least(0), default=5)
     p.add_argument("--polyhedral", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--expect", choices=["refuted", "none"])
@@ -243,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["esakia", "dimbd", "ji", "hneg", "nerve"])
     p.add_argument("--corpus", help="directory of *.complex.json files")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_at_least(1), default=500)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--cap", type=int, default=DEFAULT_UPSET_CAP)
     p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -258,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except argparse.ArgumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.command == "complex" and args.action in ("star", "carrier") and args.arg is None:
         ap.error(f"complex {args.action} needs ARG before FILE")
     if args.command == "counter" and args.polyhedral and args.depth is None:

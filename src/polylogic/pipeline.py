@@ -78,7 +78,11 @@ class Verdict:
 def _rooted_frames(n: int, max_depth: int | None):
     """Rooted frames on x1..xn of depth <= max_depth, one per isomorphism
     class: x1 is a bottom added below an (n-1)-poset of depth
-    <= max_depth - 1, in the order of enumerate_posets."""
+    <= max_depth - 1, in the order of enumerate_posets.
+
+    The posets above the root must come from enumerate_posets: its cached
+    levels serve every search in the process, and bench/tracing.py times
+    the enumeration by that name. The frames themselves are not cached."""
     names = [f"x{i + 1}" for i in range(n)]
     if n == 1:
         if max_depth is None or max_depth >= 0:
@@ -109,6 +113,10 @@ def find_frame_countermodel(
     that every frame of size <= n was searched without a refutation. When a
     frame's valuation space exceeds the budget at size n, the search stops
     there and reports NoCountermodelUpToBound with searched_size n - 1.
+
+    The poset classes come from enumerate_posets, which computes each size
+    once per process, so later searches in the process (to any size and
+    depth already reached) compute no canonical form.
     """
     bounds = {"max_size": max_size, "max_depth": max_depth, "searched_size": max_size}
     for n in range(1, max_size + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import threading
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -401,6 +402,12 @@ def _canonical_form(up, n) -> tuple[int, ...]:
     return best
 
 
+# max_depth (None: any depth) -> [level 1, level 2, ...]; level k is the
+# sorted tuple of the canonical up-mask tuples of the k-element posets
+_LEVELS: dict[int | None, list[tuple[tuple[int, ...], ...]]] = {}
+_LEVELS_LOCK = threading.Lock()
+
+
 def enumerate_posets(n: int, max_depth: int | None = None):
     """All posets on n labelled elements x1..xn with depth <= max_depth,
     one per isomorphism class, in ascending canonical-form order.
@@ -410,22 +417,37 @@ def enumerate_posets(n: int, max_depth: int | None = None):
     This reaches every class: deleting a maximal element of a k-poset
     leaves a (k-1)-poset, and it never raises depth, so every k-poset of
     depth <= max_depth extends one kept at size k-1.
+
+    The levels are computed once per process and kept in ``_LEVELS``,
+    keyed by max_depth; a call extends its list only as far as n. A bound
+    of n - 1 or more excludes no n-poset, so it is read as None and shares
+    the unrestricted levels. A level is stored only once it is complete,
+    as a tuple of int tuples (no Poset objects). The cache holds, for each
+    max_depth asked for, every level up to the largest n asked for: about
+    as many forms as the largest level, which is what enumerating that
+    level once holds at its peak anyway.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    forms = {(1,)} if max_depth is None or max_depth >= 0 else set()  # up-mask tuples
-    for k in range(2, n + 1):
-        nxt = set()
-        for form in forms:
-            for extended in _extensions(form, k):
-                if max_depth is not None:
-                    p = Poset([f"t{i}" for i in range(k)], extended, _trusted=True)
-                    if p.depth() > max_depth:
-                        continue
-                nxt.add(_canonical_form(extended, k))
-        forms = nxt
+    if max_depth is not None and max_depth >= n - 1:
+        max_depth = None
+    if max_depth is not None and max_depth < 0:
+        return
+    with _LEVELS_LOCK:
+        levels = _LEVELS.setdefault(max_depth, [((1,),)])
+        for k in range(len(levels) + 1, n + 1):
+            nxt = set()
+            for form in levels[-1]:
+                for extended in _extensions(form, k):
+                    if max_depth is not None:
+                        p = Poset([f"t{i}" for i in range(k)], extended, _trusted=True)
+                        if p.depth() > max_depth:
+                            continue
+                    nxt.add(_canonical_form(extended, k))
+            levels.append(tuple(sorted(nxt)))
+        level = levels[n - 1]
     names = [f"x{i + 1}" for i in range(n)]
-    for form in sorted(forms):
+    for form in level:
         yield Poset(names, form, _trusted=True)
 
 

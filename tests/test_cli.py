@@ -255,6 +255,19 @@ def test_counter_reports_the_size_it_finished(capsys):
     assert data["bounds"]["searched_size"] == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["counter", "p|~p", "--max-size", "-3"],
+    ["counter", "p|~p", "--depth", "-1"],
+    ["counter", "p|~p", "--polyhedral", "--depth", "-2"],
+    ["counter", "p|~p", "--max-size", "five"],
+    ["suite", "hneg", "--trials", "-5"],
+    ["suite", "hneg", "--trials", "0"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_negative_bounds_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: argument --") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "poset", "depth", "/nonexistent.json")
     assert code == 2 and "error" in err

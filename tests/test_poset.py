@@ -1,10 +1,16 @@
+import functools
 import itertools
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import enumerate_by_all_extensions, minimal_of
 
 from polylogic import poset
 from polylogic.errors import CapExceeded, CycleError, NotMonotone, UnknownElement
+from polylogic.formula import parse
+from polylogic.pipeline import find_frame_countermodel
 from polylogic.poset import (
     MonotoneMap,
     Poset,
@@ -224,10 +230,15 @@ def test_enumeration_matches_all_extensions_oracle(n, depths):
         assert [p.up for p in enumerate_posets(n, d)] == enumerate_by_all_extensions(n, d)
 
 
-@pytest.mark.parametrize("n, max_depth, forms", [(7, None, 6377), (6, 2, 751)])
-def test_enumeration_canonical_form_count(monkeypatch, n, max_depth, forms):
-    # one extension per down-set; a new element in every compatible
-    # (down-set, up-set) pair makes 18 709 and 1 806 forms here
+@pytest.fixture
+def cold_levels(monkeypatch):
+    """An empty level cache for this test; the process's cache is restored after."""
+    monkeypatch.setattr(poset, "_LEVELS", {})
+
+
+@pytest.fixture
+def count_forms(monkeypatch):
+    """The list of sizes passed to _canonical_form, one entry per call."""
     canonical_form = poset._canonical_form
     calls = []
 
@@ -236,8 +247,105 @@ def test_enumeration_canonical_form_count(monkeypatch, n, max_depth, forms):
         return canonical_form(up, k)
 
     monkeypatch.setattr(poset, "_canonical_form", counting)
-    list(enumerate_posets(n, max_depth))
-    assert len(calls) == forms
+    return calls
+
+
+@pytest.mark.parametrize("n, max_depth, forms", [(7, None, 6377), (6, 2, 751)])
+def test_enumeration_canonical_form_count(cold_levels, count_forms, n, max_depth, forms):
+    # one extension per down-set; a new element in every compatible
+    # (down-set, up-set) pair makes 18 709 and 1 806 forms here
+    first = [p.up for p in enumerate_posets(n, max_depth)]
+    assert len(count_forms) == forms
+    count_forms.clear()
+    assert [p.up for p in enumerate_posets(n, max_depth)] == first
+    assert count_forms == []
+
+
+def test_search_computes_each_class_once(cold_levels, count_forms):
+    # the size-7 search enumerates the posets of sizes 1..6 above the root
+    f = parse("p->(q->p)")
+    assert not find_frame_countermodel(f, 7).refuted
+    assert len(count_forms) == 938
+    count_forms.clear()
+    assert find_frame_countermodel(f, 7).bounds["searched_size"] == 7
+    assert count_forms == []
+
+
+@functools.cache
+def oracle_levels(n, d):
+    return enumerate_by_all_extensions(n, d)
+
+
+DEPTHS = st.sampled_from(["none", 0, 1, 2, 3, "n-1", "n+2"])
+
+
+def depth_bound(n, d):
+    return {"none": None, "n-1": n - 1, "n+2": n + 2}.get(d, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), DEPTHS), min_size=1, max_size=8))
+def test_interleaved_calls_match_the_oracle(calls):
+    # any order of calls, cold or warm, gives the oracle's classes in its order
+    with patch.object(poset, "_LEVELS", {}):
+        for _ in range(2):
+            for n, d in calls:
+                d = depth_bound(n, d)
+                assert [p.up for p in enumerate_posets(n, d)] == oracle_levels(n, d)
+            calls = calls[::-1]
+
+
+def test_depth_bounds_past_n_minus_1_share_the_unbounded_levels(cold_levels, count_forms):
+    assert len(list(enumerate_posets(5))) == 63
+    count_forms.clear()
+    for d in (4, 5, 9):
+        assert [p.up for p in enumerate_posets(5, d)] == oracle_levels(5, None)
+    assert count_forms == []
+    assert list(poset._LEVELS) == [None]
+
+
+@pytest.mark.parametrize("fail_at", [1, 5, 10, 100, 600])
+def test_a_failed_level_is_not_cached(cold_levels, monkeypatch, fail_at):
+    # levels 2..6 take 2, 7, 28, 135 and 766 forms: each failure falls at the
+    # first call of a level or inside one
+    canonical_form = poset._canonical_form
+    calls = []
+
+    def failing(up, k):
+        calls.append(k)
+        if len(calls) == fail_at:
+            raise RuntimeError("interrupted")
+        return canonical_form(up, k)
+
+    monkeypatch.setattr(poset, "_canonical_form", failing)
+    with pytest.raises(RuntimeError):
+        list(enumerate_posets(6))
+    whole = 1 + sum(done < fail_at for done in (2, 9, 37, 172))
+    assert [len(level) for level in poset._LEVELS[None]] == [1, 2, 5, 16, 63][:whole]
+    monkeypatch.setattr(poset, "_canonical_form", canonical_form)
+    for n in range(6, 0, -1):
+        assert [p.up for p in enumerate_posets(n)] == oracle_levels(n, None)
+    assert [len(level) for level in poset._LEVELS[None]] == [1, 2, 5, 16, 63, 318]
+
+
+def test_an_abandoned_generator_leaves_whole_levels(cold_levels, count_forms):
+    gen = enumerate_posets(6, 2)
+    next(gen)
+    gen.close()
+    count_forms.clear()
+    assert [p.up for p in enumerate_posets(6, 2)] == oracle_levels(6, 2)
+    assert count_forms == []
+    assert [len(level) for level in poset._LEVELS[2]] == [
+        len(oracle_levels(n, 2)) for n in range(1, 7)]
+
+
+def test_enumeration_rejects_sizes_below_1_and_negative_depths_are_empty(cold_levels):
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            list(enumerate_posets(n))
+    for _ in range(2):
+        assert all(list(enumerate_posets(n, -1)) == [] for n in range(1, 6))
+    assert poset._LEVELS == {}
 
 
 # ---------------------------------------------------------------------------
