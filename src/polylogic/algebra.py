@@ -154,8 +154,48 @@ def is_valid(
     Valuations are enumerated lexicographically: atoms in first-occurrence
     order, up-sets in ascending bitmask order; the first refuting valuation
     in that order is returned, and ``checked`` is its 1-based position in
-    that order (all m**k valuations when f is valid). Raises BudgetExceeded
-    before starting if the search space is larger than the budget.
+    that order (all m**k valuations when f is valid): the number of
+    valuations the search has covered, not the number it evaluated. Raises
+    BudgetExceeded before starting if m**k is larger than the budget.
+
+    f is valid on a finite frame iff it is valid on the subframe up(x)
+    generated by each minimal point x, its star (the generated-subframe
+    lemma; Chagrov & Zakharyaschev, Modal Logic, 1997). So each star is
+    searched first when m**k needs more than one block of _BATCH
+    valuations, the frame has two or more minimal points, and the stars'
+    valuations, the sum of |Up(up(x))|**k, are fewer than m**k. If every
+    star validates f, f is valid; if one refutes it, the whole-frame
+    search runs as usual and names the frame's first refuting valuation.
+    """
+    h = algebra if algebra is not None else FiniteHeyting(frame, cap)
+    names = atoms(f)
+    m, k = len(h), len(names)
+    total = m**k
+    if total > budget:
+        raise BudgetExceeded(total)
+    minimal = [x for x, down in enumerate(h.frame.down) if down == 1 << x]
+    if total > _BATCH and len(minimal) > 1:
+        stars = [FiniteHeyting(_generated(h.frame, x), cap) for x in minimal]
+        if sum(len(s) ** k for s in stars) < total and all(
+                _first_refutation(s, f, names) is None for s in stars):
+            return ValidityResult(True, None, total)
+    done = _first_refutation(h, f, names)
+    if done is None:
+        return ValidityResult(True, None, total)
+    valuation = {a: h.carrier[done // m ** (k - 1 - j) % m] for j, a in enumerate(names)}
+    return ValidityResult(False, valuation, done + 1)
+
+
+def _generated(frame: Poset, x: int) -> Poset:
+    """The subframe up(x) on the induced order, in the frame's element order."""
+    keep = [i for i in range(len(frame)) if frame.up[x] >> i & 1]
+    ups = [sum(1 << j for j, i in enumerate(keep) if frame.up[y] >> i & 1) for y in keep]
+    return Poset([frame.elements[y] for y in keep], ups, _trusted=True)
+
+
+def _first_refutation(h: FiniteHeyting, f: Formula, names: list[str]) -> int | None:
+    """The 0-based lexicographic position of the first valuation of names
+    over h.carrier that refutes f, or None if f is valid on h.frame.
 
     A pass checks a block of at most _BATCH consecutive valuations: the last
     r atoms, the longest suffix with m**r <= _BATCH, take all m**r values;
@@ -165,12 +205,8 @@ def is_valid(
     digits of b % m**r, so the lowest 0 bit is the block's first refutation.
     The last r atoms' patterns are built once per window width.
     """
-    h = algebra if algebra is not None else FiniteHeyting(frame, cap)
-    names = atoms(f)
     m, k = len(h), len(names)
     total = m**k
-    if total > budget:
-        raise BudgetExceeded(total)
     r = next(r for r in range(k, -1, -1) if m**r <= _BATCH)
     outer, window, inner = names[: max(k - r - 1, 0)], names[k - r - 1: k - r], names[k - r:]
     size, cols, n = m**r, h.tables(), len(h.frame)
@@ -192,11 +228,9 @@ def is_valid(
             env[a] = [_pattern(col >> start & (1 << w) - 1, w, size, 1) for col in cols]
         miss = ones ^ reduce(and_, _eval_sliced(f, env, ups, ones), ones)
         if miss:
-            done += (miss & -miss).bit_length() - 1
-            valuation = {a: h.carrier[done // m ** (k - 1 - j) % m] for j, a in enumerate(names)}
-            return ValidityResult(False, valuation, done + 1)
+            return done + (miss & -miss).bit_length() - 1
         done += w * size
-    return ValidityResult(True, None, total)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poset", help="poset queries")
     p.add_argument("action", choices=["depth", "upsets"])
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_UPSET_CAP)
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("frame", help="evaluate or decide a formula on a frame")
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("poset")
     p.add_argument("--valuation")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--cap", type=int, default=DEFAULT_UPSET_CAP)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
     p.set_defaults(func=cmd_frame)
 
     p = sub.add_parser("complex", help="simplicial complex operations")
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_at_least(0), default=None)
     p.add_argument("--max-size", type=_at_least(0), default=5)
     p.add_argument("--polyhedral", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
     p.add_argument("--expect", choices=["refuted", "none"])
     p.set_defaults(func=cmd_counter)
 
@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="directory of *.complex.json files")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=500)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--cap", type=int, default=DEFAULT_UPSET_CAP)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
     p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_suite)
 

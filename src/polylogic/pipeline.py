@@ -213,7 +213,10 @@ def verify_dim_bd(
     The prime-filter-chain characterisation is always certified; the
     direct exhaustive valuation search runs additionally whenever the
     valuation space fits the budget (it is equivalent via the up-set
-    isomorphism, and exponentially more expensive).
+    isomorphism, and exponentially more expensive). Exhaustive means star
+    by star when that pays: is_valid proves BD_dim on the open star of each
+    vertex, the subframe its vertex generates, and reports the m**k
+    valuations of the face poset that this covers.
     """
     rep = Report("dimbd")
     d = k.dim()
@@ -229,7 +232,7 @@ def verify_dim_bd(
     )
     space = len(h) ** len(atoms(bd(d)))
     if space <= budget:
-        res = is_valid(face, bd(d), budget=budget, algebra=h)
+        res = is_valid(face, bd(d), budget=budget, cap=cap, algebra=h)
         rep.add(f"BD_{d} valid (exhaustive, {res.checked} valuations)", res.valid)
     else:
         rep.add(
@@ -239,7 +242,7 @@ def verify_dim_bd(
     if d >= 1:
         space = len(h) ** len(atoms(bd(d - 1)))
         if space <= budget:
-            res = is_valid(face, bd(d - 1), budget=budget, algebra=h)
+            res = is_valid(face, bd(d - 1), budget=budget, cap=cap, algebra=h)
             detail = ""
             if not res.valid:
                 detail = "; ".join(

@@ -268,6 +268,27 @@ def test_negative_bounds_exit_2_with_one_line(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: argument --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["frame", "check", "p|~p", "poset.json", "--budget", "-1"],
+    ["frame", "check", "p|~p", "poset.json", "--cap", "-3"],
+    ["counter", "p|~p", "--budget", "-1"],
+    ["suite", "dimbd", "--budget", "-1"],
+    ["suite", "ji", "--cap", "-1"],
+    ["poset", "upsets", "poset.json", "--cap", "-1"],
+], ids=" ".join)
+def test_negative_budget_and_cap_exit_2_with_one_line(capsys, argv):
+    # the option is refused before any file is read
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: argument --") and err.count("\n") == 1
+
+
+def test_zero_budget_searches_nothing_and_says_so(capsys):
+    code, out, _ = run(capsys, "counter", "p|~p", "--budget", "0")
+    assert code == 0 and json.loads(out)["bounds"]["searched_size"] == 0
+    code, out, _ = run(capsys, "suite", "dimbd", "--budget", "0")
+    assert code == 0 and "exhaustive" not in out and "over budget" in out
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "poset", "depth", "/nonexistent.json")
     assert code == 2 and "error" in err

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from polylogic import algebra, pipeline
-from polylogic.algebra import FiniteHeyting, eval_formula, is_valid
+from polylogic.algebra import FiniteHeyting, ValidityResult, eval_formula, is_valid
+from polylogic.corpus import corpus_complexes
 from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, bd, parse
 from polylogic.pipeline import NO_COUNTERMODEL, find_frame_countermodel
-from polylogic.poset import Poset, enumerate_posets
+from polylogic.poset import Poset, enumerate_posets, from_covers
 
 SMALL_FRAMES = [p for n in range(1, 5) for p in enumerate_posets(n)]
 
@@ -127,6 +128,93 @@ def test_is_valid_on_a_ten_antichain():
         f = parse(text)
         res = is_valid(frame, f)
         assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
+
+
+@st.composite
+def non_rooted_frames(draw):
+    """A frame on at most 5 points with two or more minimal points, its
+    elements in a random order: a disjoint union of 2-3 posets, or random
+    covers on 2-5 points none of which lies below x0 or x1."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.sampled_from(SMALL_FRAMES[:8]), min_size=2, max_size=3)
+                     .filter(lambda parts: sum(map(len, parts)) <= 5))
+        names = [f"{c}{e}" for c, p in zip("abc", parts) for e in p.elements]
+        covers = [(f"{c}{x}", f"{c}{y}") for c, p in zip("abc", parts) for x, y in p.covers()]
+    else:
+        n = draw(st.integers(2, 5))
+        names = [f"x{i}" for i in range(n)]
+        pairs = [(i, j) for j in range(2, n) for i in range(j)]
+        covers = [(names[i], names[j]) for i, j in pairs if draw(st.booleans())]
+    return from_covers(draw(st.permutations(names)), covers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(non_rooted_frames(), formulas(1, 3))
+@example(from_covers(["a", "b", "c"], [("b", "c")]), parse("p | ~p"))
+@example(from_covers(["a", "r", "x", "y"], [("r", "x"), ("r", "y")]), parse("(p -> q) | (q -> p)"))
+def test_star_by_star_matches_the_oracle(frame, f):
+    # batches of 1, 7 and m valuations put small frames past one block,
+    # so the stars are checked first; in the examples the point's star
+    # validates f and the next star refutes it
+    assert frame.op().maximal_of(frame.full_mask).bit_count() >= 2
+    want = oracles.is_valid(frame, f)
+    for batch in (1, 7, len(FiniteHeyting(frame))):
+        with patch.object(algebra, "_BATCH", batch):
+            res = is_valid(frame, f)
+        assert (res.valid, res.valuation, res.checked) == want
+
+
+def _spy_on_blocks(monkeypatch):
+    """Record (frame size, valuations covered) of each block-helper call."""
+    calls, helper = [], algebra._first_refutation
+
+    def spy(h, f, names):
+        calls.append((len(h.frame), len(h) ** len(names)))
+        return helper(h, f, names)
+
+    monkeypatch.setattr(algebra, "_first_refutation", spy)
+    return calls
+
+
+@pytest.mark.parametrize("covers, calls", [
+    # the 2-chain's star refutes p | ~p first: the point's is never checked
+    ([("a", "b")], [(2, 9), (3, 36)]),
+    # the point's star validates it, then the 2-chain's refutes it
+    ([("b", "c")], [(1, 4), (2, 9), (3, 36)]),
+])
+def test_one_refuting_star_hands_over_to_the_whole_frame(monkeypatch, covers, calls):
+    monkeypatch.setattr(algebra, "_BATCH", 1)
+    frame = from_covers(["a", "b", "c"], covers)
+    seen = _spy_on_blocks(monkeypatch)
+    f = parse("(p | ~p) & (q -> q)")
+    res = is_valid(frame, f)
+    assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
+    assert seen == calls
+
+
+def test_sphere2_bd2_is_proved_on_the_four_vertex_stars(monkeypatch):
+    # the open star of a vertex has 7 faces and 19 up-sets: 4 * 19**3 =
+    # 27 436 valuations cover all 166**3 = 4 574 296 of the face poset
+    face = corpus_complexes()["sphere2"].face_poset()
+    seen = _spy_on_blocks(monkeypatch)
+    assert is_valid(face, bd(2)) == ValidityResult(True, None, 4_574_296)
+    assert seen == [(7, 19**3)] * 4
+    assert sum(n for _, n in seen) == 27_436
+
+
+def test_stars_are_skipped_unless_they_pay(monkeypatch):
+    # one block, one minimal point, or stars with as many valuations as
+    # the frame: only the whole frame is searched
+    seen, generated, star = _spy_on_blocks(monkeypatch), [], algebra._generated
+    monkeypatch.setattr(algebra, "_generated", lambda frame, x: generated.append(x) or star(frame, x))
+    is_valid(corpus_complexes()["sphere2"].face_poset(), bd(1))  # 166**2 = 27 556 valuations
+    monkeypatch.setattr(algebra, "_BATCH", 1)
+    is_valid(from_covers(["r", "x", "y"], [("r", "x"), ("r", "y")]), parse("p | ~p"))
+    # x and y below the 2-chain c0 < c1: 4 + 4 star up-sets against 6
+    is_valid(from_covers(["x", "y", "c0", "c1"], [("x", "c0"), ("y", "c0"), ("c0", "c1")]),
+             parse("p | ~p"))
+    assert seen == [(14, 27_556), (3, 5), (4, 6)]
+    assert generated == [0, 1]
 
 
 def test_search_checks_only_rooted_frames(monkeypatch):
