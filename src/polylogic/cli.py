@@ -158,23 +158,19 @@ def cmd_counter(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    posets = args.action in ("esakia", "nerve")
     if args.corpus:
-        complexes = corpus_mod.load_corpus_complexes(args.corpus)
+        subjects = corpus_mod.load_corpus(args.corpus, posets)
+    elif posets:
+        subjects = {f"poset{i:03d}": p for i, p in enumerate(corpus_mod.corpus_posets())}
     else:
-        complexes = corpus_mod.corpus_complexes()
-    posets = corpus_mod.corpus_posets()
-    reports = []
-    if args.action == "esakia":
-        reports = [(f"poset{i:03d}", verify_esakia(p, args.cap)) for i, p in enumerate(posets)]
-    elif args.action == "nerve":
-        reports = [(f"poset{i:03d}", verify_nerve(p)) for i, p in enumerate(posets)]
-    elif args.action == "dimbd":
-        reports = [(n, verify_dim_bd(k, args.budget, args.cap)) for n, k in complexes.items()]
-    elif args.action == "ji":
-        reports = [(n, verify_ji(k, args.cap)) for n, k in complexes.items()]
-    elif args.action == "hneg":
-        trials = max(1, args.trials // max(1, len(complexes)))
-        reports = [(n, verify_hneg(k, trials, args.seed)) for n, k in complexes.items()]
+        subjects = corpus_mod.corpus_complexes()
+    check = {"esakia": lambda p: verify_esakia(p, args.cap), "nerve": verify_nerve,
+             "dimbd": lambda k: verify_dim_bd(k, args.budget, args.cap),
+             "ji": lambda k: verify_ji(k, args.cap),
+             "hneg": lambda k: verify_hneg(k, max(1, args.trials // len(subjects)), args.seed),
+             }[args.action]
+    reports = [(n, check(s)) for n, s in subjects.items()]
     ok = all(r.ok for _, r in reports)
     if args.json:
         print(json.dumps(
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="verification suites over the corpus")
     p.add_argument("action", choices=["esakia", "dimbd", "ji", "hneg", "nerve"])
-    p.add_argument("--corpus", help="directory of *.complex.json files")
+    p.add_argument("--corpus", help="directory of *.complex.json complexes and *.json posets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=500)
     p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)

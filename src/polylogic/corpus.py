@@ -14,7 +14,8 @@ import json
 import os
 import string
 
-from .poset import Poset, enumerate_posets, poset_to_json, read_text
+from .errors import MalformedInput, PolylogicError
+from .poset import Poset, enumerate_posets, poset_from_json, poset_to_json, read_text
 from .simplicial import Complex, build_complex, complex_from_json, complex_to_json
 
 __all__ = [
@@ -24,7 +25,7 @@ __all__ = [
     "corpus_complexes",
     "corpus_posets",
     "write_corpus",
-    "load_corpus_complexes",
+    "load_corpus",
 ]
 
 
@@ -92,10 +93,16 @@ def write_corpus(directory: str):
             fh.write("\n")
 
 
-def load_corpus_complexes(directory: str) -> dict[str, Complex]:
+def load_corpus(directory: str, posets: bool) -> dict:
+    """The complexes (*.complex.json files) or the posets (every other *.json
+    file) in directory, keyed by file name less that suffix. A malformed file
+    raises MalformedInput naming it."""
+    suffix, parse = (".json", poset_from_json) if posets else (".complex.json", complex_from_json)
     out = {}
     for fname in sorted(os.listdir(directory)):
-        if fname.endswith(".complex.json"):
-            text = read_text(os.path.join(directory, fname))
-            out[fname[: -len(".complex.json")]] = complex_from_json(text)
+        if fname.endswith(suffix) and fname.endswith(".complex.json") != posets:
+            try:
+                out[fname.removesuffix(suffix)] = parse(read_text(os.path.join(directory, fname)))
+            except PolylogicError as e:
+                raise MalformedInput(f"{fname}: {e}") from None
     return out

@@ -258,17 +258,17 @@ def verify_dim_bd(
 
 
 def verify_ji(k: Complex, cap: int = DEFAULT_UPSET_CAP) -> Report:
-    """Join-irreducibles of the definable algebras, PC^c(K) as
-    Up(face.op()) and PC^o(K) as Up(face), and the length of the longest
+    """Join-irreducibles of the definable algebras, PC^c(K) as Up(face.op())
+    and PC^o(K) as Up(face), each dropped once they are read, and the longest
     prime-filter chain, read off the spectrum of each join-irreducible list."""
     rep = Report("ji")
     face = k.face_poset()
     n, d = len(face), k.dim()
-    closed, opened = FiniteHeyting(face.op(), cap), FiniteHeyting(face, cap)
-    jis_c, jis_o = join_irreducibles(closed), join_irreducibles(opened)
+    jis_c = join_irreducibles(FiniteHeyting(face.op(), cap))
+    jis_o = join_irreducibles(FiniteHeyting(face, cap))
     rep.add(f"JI(PC^c) = principal down-sets of the {n} simplices", jis_c == sorted(face.down))
     rep.add(f"JI(PC^o) = the {n} open stars", jis_o == sorted(face.up))
-    if len(closed) > 1:
+    if n:
         rep.add(
             f"longest prime-filter chain = dim+1 = {d + 1} in both algebras",
             _spectrum(face, jis_c).depth() == d == _spectrum(face, jis_o).depth(),
@@ -279,12 +279,16 @@ def verify_ji(k: Complex, cap: int = DEFAULT_UPSET_CAP) -> Report:
 
 
 def verify_esakia(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> Report:
+    """Spec(Up(A)) iso A by x -> the prime filter generated by up(x) (Birkhoff:
+    JI(Up(A)) = {up(x)}), and the Stone map on covers; algebras under cap."""
     rep = Report("esakia")
     h = FiniteHeyting(a, cap)
-    mapping, sp, stone_rep = stone_map(h)
+    _, sp, stone_rep = stone_map(h, cap)
+    index = {j: sp.elements[k] for k, j in enumerate(join_irreducibles(h))}
     rep.add(
         f"spec(Up(A)) iso A (|A|={len(a)})",
-        sp.is_isomorphic(a),
+        all(u in index for u in a.up)
+        and a.is_order_isomorphism(sp, {e: index[u] for e, u in zip(a.elements, a.up)}),
     )
     rep.add(
         "Stone map is a bijective Heyting homomorphism",

@@ -198,14 +198,6 @@ class Poset:
 
     # -- isomorphism ------------------------------------------------------
 
-    def canonical_form(self) -> tuple[int, ...]:
-        return _canonical_form(self.up, len(self.elements))
-
-    def is_isomorphic(self, other: "Poset") -> bool:
-        if len(self) != len(other):
-            return False
-        return self.canonical_form() == other.canonical_form()
-
     def is_order_isomorphism(self, other: "Poset", mapping: dict[str, str]) -> bool:
         """Check that the given element bijection preserves and reflects
         the order (cheap alternative to canonical forms when a candidate

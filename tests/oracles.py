@@ -40,6 +40,12 @@ summed one (point, up-set) pair at a time, and the join-irreducible scan
 that looked each u minus one point up in a carrier index, as they were
 before up-sets were grown element by element, the columns became one
 transpose and join-irreducibles were read off the columns.
+
+Duality: the check of a map between up-set algebras on every pair of
+up-sets and each of meet, join and implication, and isomorphism by
+canonical forms, as used before the Stone map was checked on covers, the
+dual of a p-morphism point by point, and Spec(Up(A)) against A by the
+explicit map x -> up(x).
 """
 
 from __future__ import annotations
@@ -768,3 +774,26 @@ def dataclass_repr(f) -> str:
     if isinstance(f, (And, Or, Implies)):
         return f"{type(f).__name__}(left={dataclass_repr(f.left)}, right={dataclass_repr(f.right)})"
     return f"Atom(name={f.name!r})" if isinstance(f, Atom) else f"{type(f).__name__}()"
+
+
+def hom_failures(mapping, src, dst):
+    """Where mapping, from all of Up(src) into Up(dst), fails to preserve the
+    bounds ("bounds not preserved"), then each (operation, u, v) that fails."""
+    out = []
+    if mapping[0] != 0 or mapping[src.full_mask] != dst.full_mask:
+        out.append("bounds not preserved")
+    for u, v in itertools.product(mapping, repeat=2):
+        fu, fv = mapping[u], mapping[v]
+        for opname, have, want in (
+            ("meet", mapping[u & v], fu & fv),
+            ("join", mapping[u | v], fu | fv),
+            ("imp", mapping[src.imp(u, v)], dst.imp(fu, fv)),
+        ):
+            if have != want:
+                out.append((opname, u, v))
+    return out
+
+
+def is_isomorphic(p, q):
+    """Whether p and q have the same canonical form."""
+    return len(p) == len(q) and _canonical_form(p.up, len(p)) == _canonical_form(q.up, len(q))

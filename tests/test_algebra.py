@@ -1,10 +1,14 @@
 import itertools
+import random
+import time
 
 import pytest
 
 import oracles
+from polylogic import algebra, pipeline
 from polylogic.algebra import (
     FiniteHeyting,
+    _cover_failures,
     algebra_depth,
     eval_formula,
     is_valid,
@@ -15,8 +19,17 @@ from polylogic.algebra import (
     valuation_from_json,
 )
 from polylogic.corpus import corpus_complexes
-from polylogic.errors import BudgetExceeded, MissingAtom, TrivialAlgebra
+from polylogic.errors import (
+    BudgetExceeded,
+    CapExceeded,
+    MissingAtom,
+    NotMonotone,
+    NotPMorphism,
+    SoundnessError,
+    TrivialAlgebra,
+)
 from polylogic.formula import bd, parse
+from polylogic.pipeline import verify_esakia
 from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers
 
 
@@ -172,16 +185,73 @@ def test_join_irreducibles_oracle():
 
 
 def test_spec_reverses_into_original_frame():
+    # canonical forms agree with the explicit map x -> up(x) that
+    # verify_esakia checks
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert oracles.is_isomorphic(spec(FiniteHeyting(p)), p)
+            assert verify_esakia(p).entries[0][1]
+
+
+def test_spec_map_fails_without_a_principal_upset(monkeypatch):
+    real = algebra.join_irreducibles
+
+    def top_for_the_largest(h):  # one principal up-set replaced by the top
+        jis = real(h)
+        return sorted(jis[:-1] + [h.frame.full_mask if jis[-1] != h.frame.full_mask else 0])
+
+    monkeypatch.setattr(algebra, "join_irreducibles", top_for_the_largest)
+    monkeypatch.setattr(pipeline, "join_irreducibles", top_for_the_largest)
     for n in range(1, 5):
         for p in enumerate_posets(n):
-            assert spec(FiniteHeyting(p)).is_isomorphic(p)
+            assert not verify_esakia(p).entries[0][1]
 
 
 def test_stone_map_is_heyting_isomorphism():
-    for p in [chain(3), fork()]:
+    # the cover check against the all-pairs oracle, on the Stone map and on
+    # broken bijections: two images swapped (bottom's, then a random pair)
+    # and the images reversed, which is never monotone
+    rng = random.Random(0)
+    for p in [q for n in range(1, 6) for base in enumerate_posets(n) for q in (base, base.op())]:
         mapping, sp, report = stone_map(FiniteHeyting(p))
-        assert report.ok, report.failures
-        assert len(set(mapping.values())) == len(mapping)
+        assert report.ok and report.failures == []
+        assert oracles.hom_failures(mapping, p, sp) == []
+        keys = list(mapping)
+        for u, v in ((keys[0], rng.choice(keys[1:])), rng.sample(keys, 2)):
+            swapped = {**mapping, u: mapping[v], v: mapping[u]}
+            caught = oracles.hom_failures(swapped, p, sp) != []
+            assert (_cover_failures(swapped, p, sp) != []) == caught
+            assert caught or u != keys[0]
+        flipped = dict(zip(keys, reversed(mapping.values())))
+        assert _cover_failures(flipped, p, sp) and oracles.hom_failures(flipped, p, sp)
+
+
+def test_cover_check_names_a_cover_on_either_side():
+    p = chain(2)
+    mapping, sp, _ = stone_map(FiniteHeyting(p))
+    swapped = {**mapping, 0: mapping[2], 2: mapping[0]}  # the images of {} and {c1}
+    assert _cover_failures(swapped, p, sp)[0] == ("Up(A)", 0, 1)
+    # Up(2-antichain) onto the 4-chain Up(3-chain) is monotone, its inverse is not:
+    # {c2} < {c1, c2} goes back to {a0} and {a1}
+    a = Poset(["a0", "a1"], [1, 2])
+    assert _cover_failures({0: 0, 1: 4, 2: 6, 3: 7}, a, chain(3)) == [("Up(Spec)", 4, 1)]
+
+
+def test_esakia_scales_with_covers_not_pairs():
+    # 16 384 up-sets: the all-pairs check and the canonical forms took hours
+    a = Poset([f"a{i}" for i in range(14)], [1 << i for i in range(14)])
+    start = time.perf_counter()
+    assert verify_esakia(a).ok
+    assert time.perf_counter() - start < 5
+
+
+def test_inner_algebras_take_the_callers_cap():
+    h = FiniteHeyting(fork())
+    with pytest.raises(CapExceeded):
+        stone_map(h, cap=len(h) - 1)
+    f = MonotoneMap(fork(), fork(), ("r", "x", "y"))
+    with pytest.raises(CapExceeded):
+        up_of_pmorphism(f, cap=len(FiniteHeyting(fork())) - 1)
 
 
 def test_algebra_depth():
@@ -206,6 +276,32 @@ def test_up_of_pmorphism_is_injective_hom_for_surjections():
     hq = FiniteHeyting(q)
     images = {up_f[u] for u in hq.carrier}
     assert len(images) == len(hq)
+
+
+def test_dual_map_check_raises_exactly_when_the_oracle_fails(monkeypatch):
+    # over every monotone map between posets of at most 3 elements; then
+    # again with the p-morphism gate off, so the per-point check decides
+    frames = [p for n in range(1, 4) for p in enumerate_posets(n)]
+    maps = []
+    for a, b in itertools.product(frames, repeat=2):
+        for images in itertools.product(b.elements, repeat=len(a)):
+            try:
+                maps.append(MonotoneMap(a, b, images))
+            except NotMonotone:
+                pass
+    fails = [oracles.hom_failures({u: f.preimage_mask(u) for u in FiniteHeyting(f.cod).carrier},
+                                  f.cod, f.dom) != [] for f in maps]
+    assert any(fails) and not all(fails)
+    for gate in (True, False):
+        if not gate:
+            monkeypatch.setattr(algebra, "is_pmorphism", lambda f: (True, None))
+        for f, fail in zip(maps, fails):
+            try:
+                up_of_pmorphism(f)
+                raised = False
+            except (NotPMorphism, SoundnessError):
+                raised = True
+            assert raised == fail
 
 
 def test_valuation_from_json():

@@ -302,6 +302,7 @@ def test_missing_file_exits_2(capsys):
     "poset file not UTF-8",
     "corpus complex not UTF-8",
     "corpus complex not JSON",
+    "corpus poset with a cycle",
 ])
 def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, case):
     chain2 = _write(tmp_path / "chain2.json", '{"elements": ["a", "b"], "covers": [["a", "b"]]}')
@@ -313,6 +314,8 @@ def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, ca
         (corpus / "bad.complex.json").write_bytes(b'{"vertices": {"\xe9": [0]}}')
     elif case == "corpus complex not JSON":
         _write(corpus / "bad.complex.json", "{")
+    elif case == "corpus poset with a cycle":
+        _write(corpus / "bad.json", '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}')
     argv = {
         "poset depth of a directory": ["poset", "depth", str(tmp_path)],
         "nerve realize into a directory": ["nerve", "realize", str(chain2), "-o", str(tmp_path)],
@@ -321,9 +324,11 @@ def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, ca
         "poset file not UTF-8": ["poset", "depth", str(latin1)],
         "corpus complex not UTF-8": ["suite", "dimbd", "--corpus", str(corpus)],
         "corpus complex not JSON": ["suite", "dimbd", "--corpus", str(corpus)],
+        "corpus poset with a cycle": ["suite", "esakia", "--corpus", str(corpus)],
     }[case]
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "bad." in err or not any(corpus.iterdir())  # a bad corpus file is named
 
 
 def test_write_corpus_reproduces_the_checked_in_corpus(corpus_dir):
@@ -393,6 +398,23 @@ def test_suite_json_output(capsys, corpus_dir):
 def test_suite_json_flag_in_either_position(capsys, corpus_dir, argv):
     code, out, _ = run(capsys, *argv, "--corpus", str(corpus_dir))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_suite_reads_the_corpus_posets(capsys, corpus_dir, tmp_path):
+    # the written corpus names each poset by its file stem, as the bundled run does
+    bundled = run(capsys, "--json", "suite", "esakia")
+    assert bundled[0] == 0
+    assert run(capsys, "--json", "suite", "esakia", "--corpus", str(corpus_dir)) == bundled
+    _write(tmp_path / "point.json", '{"elements": ["a"], "covers": []}')
+    code, out, _ = run(capsys, "--json", "suite", "nerve", "--corpus", str(tmp_path))
+    assert code == 0 and [r["subject"] for r in json.loads(out)["reports"]] == ["point"]
+
+
+def test_suite_esakia_on_a_14_antichain(capsys, tmp_path):
+    names = json.dumps([f"a{i}" for i in range(14)])
+    _write(tmp_path / "antichain14.json", f'{{"elements": {names}, "covers": []}}')
+    code, out, _ = run(capsys, "suite", "esakia", "--corpus", str(tmp_path))
+    assert code == 0 and out.endswith("SUITE PASS\n") and "|A|=14" in out
 
 
 def test_suite_seed_recorded(capsys, corpus_dir):
