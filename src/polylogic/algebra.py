@@ -14,6 +14,7 @@ whose bit b is its value under the b-th valuation of a block.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
@@ -27,7 +28,8 @@ from .errors import (
     TrivialAlgebra,
 )
 from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
-from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, is_name_list, is_pmorphism, json_object
+from .poset import (DEFAULT_UPSET_CAP, MonotoneMap, Poset, _union, is_name_list, is_pmorphism,
+                    json_object)
 
 __all__ = [
     "FiniteHeyting",
@@ -188,8 +190,9 @@ def is_valid(
 def _generated(frame: Poset, x: int) -> Poset:
     """The subframe up(x) on the induced order, in the frame's element order."""
     keep = [i for i in range(len(frame)) if frame.up[x] >> i & 1]
-    ups = [sum(1 << j for j, i in enumerate(keep) if frame.up[y] >> i & 1) for y in keep]
-    return Poset([frame.elements[y] for y in keep], ups, _trusted=True)
+    bits = {i: 1 << j for j, i in enumerate(keep)}  # frame index -> its bit in the star
+    return Poset([frame.elements[y] for y in keep], [_union(bits, frame.up[y]) for y in keep],
+                 _trusted=True)
 
 
 def _first_refutation(h: FiniteHeyting, f: Formula, names: list[str]) -> int | None:
@@ -251,7 +254,7 @@ def join_irreducibles(algebra: FiniteHeyting) -> list[int]:
     once = twice = 0
     for x, col in enumerate(cols):
         covers = frame.maximal_of(frame.down[x] & ~(1 << x))  # the lower covers of x
-        col &= ~reduce(or_, (c for y, c in enumerate(cols) if covers >> y & 1), 0)
+        col &= ~_union(cols, covers)
         twice |= once & col
         once |= col
     single = reversed(format(once & ~twice, "b"))
@@ -269,8 +272,8 @@ def spec(algebra) -> Poset:
 
 
 def _spectrum(frame: Poset, jis: list[int]) -> Poset:
-    # F_{j_i} <= F_{j_k} iff j_k <= j_i
-    names = ["{" + ",".join(frame.names_of(j)) + "}" for j in jis]
+    # F_{j_i} <= F_{j_k} iff j_k <= j_i; j's element list in JSON names F_j injectively
+    names = [json.dumps(frame.names_of(j)) for j in jis]
     return Poset(names, [sum(1 << k for k, jk in enumerate(jis) if jk & ~ji == 0) for ji in jis])
 
 

@@ -207,28 +207,31 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="JSON output where applicable")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
         argparse.ArgumentParser, exit_on_error=False))
+    # options shared by several subcommands; --json after one must not reset a --json before it
+    json_, budget, cap = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    json_.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="JSON output")
+    budget.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
+    cap.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
 
     p = sub.add_parser("formula", help="parse, pretty-print, or generate formulae")
     p.add_argument("action", choices=["parse", "print", "bd"])
     p.add_argument("arg", help="formula text, or the index d for bd")
     p.set_defaults(func=cmd_formula)
 
-    p = sub.add_parser("poset", help="poset queries")
+    p = sub.add_parser("poset", help="poset queries", parents=[cap])
     p.add_argument("action", choices=["depth", "upsets"])
     p.add_argument("file")
-    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
     p.set_defaults(func=cmd_poset)
 
-    p = sub.add_parser("frame", help="evaluate or decide a formula on a frame")
+    p = sub.add_parser("frame", help="evaluate or decide a formula on a frame",
+                       parents=[json_, budget, cap])
     p.add_argument("action", choices=["check"])
     p.add_argument("formula")
     p.add_argument("poset")
     p.add_argument("--valuation")
-    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
-    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
     p.set_defaults(func=cmd_frame)
 
-    p = sub.add_parser("complex", help="simplicial complex operations")
+    p = sub.add_parser("complex", help="simplicial complex operations", parents=[json_])
     p.add_argument("action", choices=["build", "verify", "dim", "faceposet", "star", "carrier"])
     p.add_argument("arg", nargs="?", help="simplex name for star, point for carrier")
     p.add_argument("file")
@@ -241,23 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_nerve)
 
-    p = sub.add_parser("counter", help="bounded countermodel search")
+    p = sub.add_parser("counter", help="bounded countermodel search", parents=[budget])
     p.add_argument("formula")
     p.add_argument("--depth", type=_at_least(0), default=None)
     p.add_argument("--max-size", type=_at_least(0), default=5)
     p.add_argument("--polyhedral", action="store_true")
-    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
     p.add_argument("--expect", choices=["refuted", "none"])
     p.set_defaults(func=cmd_counter)
 
-    p = sub.add_parser("suite", help="verification suites over the corpus")
+    p = sub.add_parser("suite", help="verification suites over the corpus",
+                       parents=[json_, budget, cap])
     p.add_argument("action", choices=["esakia", "dimbd", "ji", "hneg", "nerve"])
     p.add_argument("--corpus", help="directory of *.complex.json complexes and *.json posets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=500)
-    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
-    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_UPSET_CAP)
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("corpus", help="write the bundled corpus to a directory")

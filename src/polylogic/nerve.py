@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poset
-from .errors import CapExceeded, EmptyPoset, NotACountermodel, SoundnessError
+from .errors import CapExceeded, EmptyPoset, MalformedInput, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
 from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset
 from .simplicial import Complex, DefinableSet, build_complex, complex_to_json
@@ -25,9 +25,13 @@ def _chains(a: Poset) -> list[int]:
     """All nonempty chains as element masks, in ascending order of their
     sorted index tuples: each chain is followed by its extensions by a
     larger index comparable to every element of it. Raises CapExceeded
-    before enumerating more than DEFAULT_UPSET_CAP chains."""
+    before enumerating more than DEFAULT_UPSET_CAP chains, and MalformedInput
+    on an element name holding ",", which joins the names in a chain's name."""
     if len(a) == 0:
         raise EmptyPoset("the empty poset has no nonempty chains")
+    for e in a.elements:
+        if "," in e:
+            raise MalformedInput(f"element name {e!r} contains ',', which separates chain names")
     count = _chain_count(a)
     if count > DEFAULT_UPSET_CAP:
         raise CapExceeded(count, f"more than {DEFAULT_UPSET_CAP} chains, the enumeration cap")

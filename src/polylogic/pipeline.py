@@ -224,36 +224,25 @@ def verify_dim_bd(
         rep.add("nonempty", False, "empty complex")
         return rep
     face = k.face_poset()
-    h = FiniteHeyting(face, cap)
-    rep.add(f"dim={d} equals face-poset depth", face.depth() == d)
+    h, depth = FiniteHeyting(face, cap), face.depth()
+    rep.add(f"dim={d} equals face-poset depth", depth == d)
     rep.add(
         f"longest prime-filter chain = {d + 1}",
         (algebra_depth(h) == d) if len(h) > 1 else d == 0,
     )
-    space = len(h) ** len(atoms(bd(d)))
-    if space <= budget:
-        res = is_valid(face, bd(d), budget=budget, cap=cap, algebra=h)
-        rep.add(f"BD_{d} valid (exhaustive, {res.checked} valuations)", res.valid)
-    else:
-        rep.add(
-            f"BD_{d} valid (via depth characterisation; search space {space} over budget)",
-            face.depth() <= d,
-        )
-    if d >= 1:
-        space = len(h) ** len(atoms(bd(d - 1)))
-        if space <= budget:
-            res = is_valid(face, bd(d - 1), budget=budget, cap=cap, algebra=h)
-            detail = ""
-            if not res.valid:
-                detail = "; ".join(
-                    f"{p}={face.names_of(m)}" for p, m in sorted(res.valuation.items())
-                )
-            rep.add(f"BD_{d - 1} refuted with valuation {detail}", not res.valid)
-        else:
-            rep.add(
-                f"BD_{d - 1} refuted (via depth characterisation; space {space} over budget)",
-                face.depth() > d - 1,
-            )
+    for e in (d, d - 1) if d else (d,):
+        want = e == d  # BD_d valid, BD_(d-1) refuted
+        space = len(h) ** len(atoms(bd(e)))
+        if space > budget:
+            verdict = "valid" if want else "refuted"
+            rep.add(f"BD_{e} {verdict} (via depth characterisation; search space {space} over "
+                    "budget)", (depth <= e) == want)
+            continue
+        res = is_valid(face, bd(e), budget=budget, cap=cap, algebra=h)
+        rep.add(f"BD_{e} valid (exhaustive, {res.checked} valuations)" if want else
+                f"BD_{e} refuted with valuation " + "; ".join(
+                    f"{p}={face.names_of(m)}" for p, m in sorted((res.valuation or {}).items())),
+                res.valid == want)
     return rep
 
 

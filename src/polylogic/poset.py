@@ -48,35 +48,23 @@ class Poset:
         n = len(self.elements)
         if len(self.up) != n:
             raise MalformedInput("one up-mask per element required")
-        down = [0] * n
-        for i in range(n):
-            m = self.up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                down[j] |= 1 << i
-                m &= m - 1
-        self.down: tuple[int, ...] = tuple(down)
+        if not _trusted and any(u >> n for u in self.up):
+            raise MalformedInput("up-mask references unknown element")
+        self.down: tuple[int, ...] = tuple(_transpose(self.up, n))
         if not _trusted:
             self._validate()
 
     def _validate(self):
-        n = len(self.elements)
-        for i in range(n):
-            if not self.up[i] >> i & 1:
-                raise MalformedInput(f"relation not reflexive at {self.elements[i]}")
-            if self.up[i] >> n:
-                raise MalformedInput("up-mask references unknown element")
-            m = self.up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                if self.up[j] & ~self.up[i]:
-                    raise MalformedInput("relation not transitive")
-                if j != i and self.up[j] >> i & 1:
-                    raise MalformedInput(
-                        f"relation not antisymmetric on "
-                        f"{self.elements[i]}, {self.elements[j]}"
-                    )
-                m &= m - 1
+        up, down = self.up, self.down
+        for i, e in enumerate(self.elements):
+            if not up[i] >> i & 1:
+                raise MalformedInput(f"relation not reflexive at {e}")
+            if _union(up, up[i]) != up[i]:
+                raise MalformedInput("relation not transitive")
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise MalformedInput(f"relation not antisymmetric on {e}, {self.elements[j]}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -105,22 +93,10 @@ class Poset:
         return [e for i, e in enumerate(self.elements) if mask >> i & 1]
 
     def up_closure(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            out |= self.up[i]
-            m &= m - 1
-        return out
+        return _union(self.up, mask)
 
     def down_closure(self, mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            out |= self.down[i]
-            m &= m - 1
-        return out
+        return _union(self.down, mask)
 
     def imp(self, u: int, v: int) -> int:
         """Heyting implication in Up(P): {a : up(a) n u <= v}, i.e. the
@@ -139,19 +115,17 @@ class Poset:
         return self.down_closure(mask) == mask
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse covers (a, b) with a < b, in canonical order."""
-        n = len(self.elements)
+        """Hasse covers (a, b) with a < b, in canonical order: the upper covers
+        of a are the points strictly above a and strictly above nothing that is."""
+        strict = [u & ~(1 << i) for i, u in enumerate(self.up)]
         out = []
-        for i in range(n):
-            strict = self.up[i] & ~(1 << i)
-            m = strict
-            while m:
-                j = (m & -m).bit_length() - 1
-                between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((self.elements[i], self.elements[j]))
-                m &= m - 1
-        return out
+        for i in reversed(range(len(strict))):
+            m = strict[i] & ~_union(strict, strict[i])
+            while m:  # highest bit first; the list is reversed at the end
+                j = m.bit_length() - 1
+                out.append((self.elements[i], self.elements[j]))
+                m ^= 1 << j
+        return out[::-1]
 
     def maximal_of(self, mask: int) -> int:
         out = 0
@@ -213,6 +187,29 @@ class Poset:
         return is_pmorphism(f)[0]
 
 
+def _union(rows, mask: int) -> int:
+    """The OR of rows[i] over the set bits i of mask, rows being a list or a
+    dict of masks: the Boolean matrix-vector product of a relation and a set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _transpose(rows, n: int) -> list[int]:
+    """The n rows of the converse relation: bit i of row j iff bit j of rows[i]."""
+    out = [0] * n
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
 def from_covers(elements, covers) -> Poset:
     """Poset from Hasse covers; leq is the reflexive-transitive closure."""
     elements = tuple(elements)
@@ -226,53 +223,32 @@ def from_covers(elements, covers) -> Poset:
             raise UnknownElement(b)
         if a != b:
             succ[index[a]] |= 1 << index[b]
-    up = [1 << i | succ[i] for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m, acc = up[i], up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                acc |= up[j]
-                m &= m - 1
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    up, closed = None, [1 << i | s for i, s in enumerate(succ)]
+    while closed != up:  # each pass at least doubles the length of the paths covered
+        up, closed = closed, [_union(closed, u) for u in closed]
+    down = _transpose(up, n)
     for i in range(n):
-        m = up[i] & ~(1 << i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            if up[j] >> i & 1:
-                raise CycleError(_witness_cycle(succ, i, j, elements))
-            m &= m - 1
+        if up[i] & down[i] != 1 << i:
+            raise CycleError(_witness_cycle(succ, i, elements))
     return Poset(elements, up, _trusted=True)
 
 
-def _witness_cycle(succ, i, j, elements):
-    # Path i -> ... -> j through the cover digraph, then back to i.
-    def path(src, dst):
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            x = queue.pop(0)
-            if x == dst:
-                out = []
-                while x is not None:
-                    out.append(x)
-                    x = prev[x]
-                return out[::-1]
-            m = succ[x]
-            while m:
-                y = (m & -m).bit_length() - 1
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-                m &= m - 1
-        return [src, dst]
-
-    cycle = path(i, j) + path(j, i)[1:]
-    return [elements[k] for k in cycle]
+def _witness_cycle(succ, i, elements):
+    # Breadth first from i through the cover digraph until it is back at i.
+    prev, queue = {}, [i]
+    for x in queue:
+        m = succ[x]
+        while m and i not in prev:
+            y = (m & -m).bit_length() - 1
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+            m &= m - 1
+    cycle, x = [i], prev[i]
+    while x != i:
+        cycle.append(x)
+        x = prev[x]
+    return [elements[k] for k in reversed(cycle + [i])]
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +264,16 @@ class MonotoneMap:
     cod: Poset
     mapping: tuple[str, ...]  # image of dom.elements[i]
     image: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _bits: list[int] = field(init=False, repr=False, compare=False)  # 1 << image[i]
+    _fibres: list[int] = field(init=False, repr=False, compare=False)  # preimage of each point
 
     def __post_init__(self):
         if len(self.mapping) != len(self.dom):
             raise NotMonotone("mapping must be total on the domain")
         self.cod.mask_of(self.mapping)  # raises UnknownElement
         object.__setattr__(self, "image", tuple(self.cod.index[name] for name in self.mapping))
+        object.__setattr__(self, "_bits", [1 << j for j in self.image])
+        object.__setattr__(self, "_fibres", _transpose(self._bits, len(self.cod)))
         for x, fx in enumerate(self.image):
             bad = self.dom.up[x] & ~self.preimage_mask(self.cod.up[fx])
             if bad:
@@ -305,20 +285,10 @@ class MonotoneMap:
         return self.mapping[self.dom.index[name]]
 
     def image_mask(self, dom_mask: int) -> int:
-        out = 0
-        m = dom_mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            out |= 1 << self.image[i]
-            m &= m - 1
-        return out
+        return _union(self._bits, dom_mask)
 
     def preimage_mask(self, cod_mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.image):
-            if cod_mask >> j & 1:
-                out |= 1 << i
-        return out
+        return _union(self._fibres, cod_mask)
 
     def is_surjective(self) -> bool:
         return self.image_mask(self.dom.full_mask) == self.cod.full_mask
@@ -361,13 +331,7 @@ def _refine_invariants(up, down, n):
 def _canonical_form(up, n) -> tuple[int, ...]:
     if n == 0:
         return ()
-    down = [0] * n
-    for i in range(n):
-        m = up[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            down[j] |= 1 << i
-            m &= m - 1
+    down = _transpose(up, n)
     inv = _refine_invariants(up, down, n)
     groups: dict = {}
     for i in range(n):
@@ -378,17 +342,8 @@ def _canonical_form(up, n) -> tuple[int, ...]:
         *(itertools.permutations(g) for g in ordered_groups)
     ):
         perm = [i for part in perm_parts for i in part]  # new position -> old index
-        pos = {old: new for new, old in enumerate(perm)}
-        rows = []
-        for old in perm:
-            m = up[old]
-            row = 0
-            while m:
-                j = (m & -m).bit_length() - 1
-                row |= 1 << pos[j]
-                m &= m - 1
-            rows.append(row)
-        cand = tuple(rows)
+        bits = {old: 1 << new for new, old in enumerate(perm)}
+        cand = tuple([_union(bits, up[old]) for old in perm])
         if best is None or cand < best:
             best = cand
     return best

@@ -294,12 +294,15 @@ def co_implication(c: DefinableSet, d: DefinableSet) -> DefinableSet:
 
 def build_complex(vertices: dict, maximal_simplices) -> Complex:
     """Close the listed simplices under faces, checking exact affine
-    independence of every listed simplex."""
+    independence of every listed simplex. Vertex ids may not hold ",", which
+    joins the ids in a simplex name."""
     verts: dict[str, Point] = {}
     ambient = None
     for name, coords in vertices.items():
         if name in verts:
             raise DuplicateVertex(name)
+        if "," in name:
+            raise MalformedInput(f"vertex id {name!r} contains ',', which separates simplex names")
         pt = tuple(parse_rational(c) for c in coords)
         if ambient is None:
             ambient = len(pt)

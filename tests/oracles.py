@@ -46,6 +46,9 @@ up-sets and each of meet, join and implication, and isomorphism by
 canonical forms, as used before the Stone map was checked on covers, the
 dual of a p-morphism point by point, and Spec(Up(A)) against A by the
 explicit map x -> up(x).
+
+Closure: reachability along the covers by one depth-first search per
+element over name pairs, the slow check of ``from_covers``.
 """
 
 from __future__ import annotations
@@ -797,3 +800,22 @@ def hom_failures(mapping, src, dst):
 def is_isomorphic(p, q):
     """Whether p and q have the same canonical form."""
     return len(p) == len(q) and _canonical_form(p.up, len(p)) == _canonical_form(q.up, len(q))
+
+
+def reachable(elements, covers) -> list[int]:
+    """Bit j of entry i iff elements[j] is reached from elements[i] along the
+    (lower, upper) name pairs of covers, in zero or more steps."""
+    index = {e: i for i, e in enumerate(elements)}
+    succ = {e: [] for e in elements}
+    for a, b in covers:
+        succ[a].append(b)
+    out = []
+    for start in elements:
+        seen, stack = {start}, [start]
+        while stack:
+            for b in succ[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        out.append(sum(1 << index[e] for e in seen))
+    return out

@@ -391,13 +391,46 @@ def test_suite_json_output(capsys, corpus_dir):
     }
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["--json", "suite", "ji"], id="before-the-subcommand"),
-    pytest.param(["suite", "ji", "--json"], id="after-the-subcommand"),
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["--json", "suite", "ji", "--corpus", "{dir}"], (0, "ok", True),
+                 id="before-the-subcommand"),
+    pytest.param(["suite", "ji", "--corpus", "{dir}", "--json"], (0, "ok", True),
+                 id="after-the-subcommand"),
+    pytest.param(["--json", "frame", "check", "p|~p", "{dir}/poset002.json"],
+                 (1, "status", "Refuted"), id="frame-check-before"),
+    pytest.param(["frame", "check", "p|~p", "{dir}/poset002.json", "--json"],
+                 (1, "status", "Refuted"), id="frame-check-after"),
+    pytest.param(["--json", "complex", "verify", "{dir}/square.complex.json"], (0, "ok", True),
+                 id="complex-verify-before"),
+    pytest.param(["complex", "verify", "{dir}/square.complex.json", "--json"], (0, "ok", True),
+                 id="complex-verify-after"),
 ])
-def test_suite_json_flag_in_either_position(capsys, corpus_dir, argv):
-    code, out, _ = run(capsys, *argv, "--corpus", str(corpus_dir))
-    assert code == 0 and json.loads(out)["ok"] is True
+def test_suite_json_flag_in_either_position(capsys, corpus_dir, argv, want):
+    code, out, _ = run(capsys, *(a.format(dir=corpus_dir) for a in argv))
+    exit_code, key, value = want
+    assert code == exit_code and json.loads(out)[key] == value
+
+
+@pytest.mark.parametrize("command", ["esakia", "nerve"])
+def test_suites_on_a_poset_whose_element_names_hold_a_comma(capsys, tmp_path, command):
+    # the spectrum names filters by JSON lists, so {a, b} and {"a,b"} differ;
+    # a chain's name joins its element names with ",", so nerve refuses "a,b"
+    _write(tmp_path / "comma.json",
+           '{"elements": ["a", "b", "a,b"], "covers": [["a", "b"]]}')
+    code, out, err = run(capsys, "suite", command, "--corpus", str(tmp_path))
+    if command == "esakia":
+        assert code == 0 and out.endswith("SUITE PASS\n")
+    else:
+        assert code == 2 and err.count("\n") == 1 and "'a,b'" in err
+
+
+def test_complex_refuses_a_vertex_id_holding_a_comma(capsys, tmp_path):
+    # a simplex name joins vertex ids with ",", so "a,b" could not be named back
+    path = _write(tmp_path / "comma.complex.json",
+                  '{"vertices": {"a,b": ["0"], "c": ["1"]}, "maximal": [["a,b", "c"]]}')
+    for action in (["build"], ["star", "a,b"]):
+        code, _, err = run(capsys, "complex", *action, str(path))
+        assert code == 2 and err.count("\n") == 1 and "'a,b'" in err
 
 
 def test_suite_reads_the_corpus_posets(capsys, corpus_dir, tmp_path):

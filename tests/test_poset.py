@@ -1,15 +1,18 @@
 import functools
 import itertools
+import random
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import enumerate_by_all_extensions, is_isomorphic, minimal_of
 
 from polylogic import poset
-from polylogic.errors import CapExceeded, CycleError, NotMonotone, UnknownElement
+from polylogic.errors import CapExceeded, CycleError, MalformedInput, NotMonotone, UnknownElement
 from polylogic.formula import parse
+from polylogic.nerve import max_pmorphism
 from polylogic.pipeline import find_frame_countermodel
 from polylogic.poset import (
     MonotoneMap,
@@ -50,10 +53,57 @@ def test_from_covers_takes_transitive_closure():
 
 
 def test_from_covers_rejects_cycles_with_witness():
-    with pytest.raises(CycleError) as exc:
-        from_covers(["a", "b", "c"], [["a", "b"], ["b", "c"], ["c", "a"]])
-    cyc = exc.value.cycle
-    assert cyc[0] == cyc[-1] and len(set(cyc)) >= 2
+    for covers in (
+        [["a", "b"], ["b", "c"], ["c", "a"]],
+        [["a", "b"], ["b", "a"]],
+        [["d", "a"], ["a", "b"], ["b", "c"], ["c", "b"], ["a", "e"]],  # a cycle above a tail
+        [["e", "d"], ["d", "c"], ["c", "b"], ["b", "a"], ["a", "e"], ["a", "c"]],  # a chord
+    ):
+        with pytest.raises(CycleError) as exc:
+            from_covers(["a", "b", "c", "d", "e"], covers)
+        cyc = exc.value.cycle
+        assert cyc[0] == cyc[-1] and len(set(cyc)) >= 2
+        assert all([x, y] in covers for x, y in zip(cyc, cyc[1:]))  # every step is a cover
+
+
+def random_dag(seed):
+    """Elements in a shuffled order, covers going up a hidden linear order."""
+    rng = random.Random(seed)
+    n = rng.randrange(1, 40)
+    hidden = [f"v{i}" for i in range(n)]
+    density = rng.choice([0.02, 0.1, 0.3])
+    covers = [[hidden[i], hidden[j]] for i in range(n) for j in range(i + 1, n)
+              if rng.random() < density]
+    return rng.sample(hidden, n), covers
+
+
+CHAIN_300 = [f"c{i}" for i in range(300)]
+
+
+@pytest.mark.parametrize("elements, covers", [
+    *(pytest.param(*random_dag(seed), id=f"dag-{seed}") for seed in range(40)),
+    pytest.param(CHAIN_300, [[a, b] for a, b in zip(CHAIN_300, CHAIN_300[1:])], id="chain-300"),
+    pytest.param(CHAIN_300[::-1], [[a, b] for a, b in zip(CHAIN_300, CHAIN_300[1:])],
+                 id="chain-300-listed-top-down"),
+    pytest.param([f"a{i}" for i in range(300)], [], id="antichain-300"),
+])
+def test_from_covers_closure_matches_reachability(elements, covers):
+    p = from_covers(elements, covers)
+    assert list(p.up) == oracles.reachable(elements, covers)
+    assert list(p.down) == [sum(1 << i for i, u in enumerate(p.up) if u >> j & 1)
+                            for j in range(len(p))]
+
+
+@pytest.mark.parametrize("up, message", [
+    ([0b010, 0b010, 0b100], "relation not reflexive at a"),
+    ([0b1111, 0b010, 0b100], "up-mask references unknown element"),
+    ([-1, 0b010, 0b100], "up-mask references unknown element"),
+    ([0b011, 0b110, 0b100], "relation not transitive"),
+    ([0b011, 0b011, 0b100], "relation not antisymmetric on a, b"),
+])
+def test_poset_rejects_up_masks_that_are_no_order(up, message):
+    with pytest.raises(MalformedInput, match=message):
+        Poset(["a", "b", "c"], up)
 
 
 def test_from_covers_rejects_unknown_elements():
@@ -383,6 +433,17 @@ def test_pmorphisms_compose():
     h = MonotoneMap(p, r, tuple(g(f(e)) for e in p.elements))
     for e in p.elements:
         assert h(e) == g(f(e))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_max_map_masks_match_the_oracles(n):
+    rng = random.Random(n)
+    for a in enumerate_posets(n):
+        f = max_pmorphism(a)
+        dom_masks = [0, f.dom.full_mask] + [rng.getrandbits(len(f.dom)) for _ in range(50)]
+        assert [f.image_mask(m) for m in dom_masks] == [oracles.image_mask(f, m) for m in dom_masks]
+        assert [f.preimage_mask(m) for m in range(1 << n)] == [
+            oracles.preimage_mask(f, m) for m in range(1 << n)]
 
 
 def test_image_preimage_masks():
