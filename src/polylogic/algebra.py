@@ -43,6 +43,7 @@ __all__ = [
     "up_of_pmorphism",
     "algebra_depth",
     "valuation_from_json",
+    "valuation_to_json",
 ]
 
 DEFAULT_BUDGET = 10**7
@@ -50,24 +51,18 @@ _BATCH = 1 << 16  # valuations per bit-sliced pass of is_valid
 
 
 class FiniteHeyting:
-    """The Heyting algebra Up(A) of a finite frame A.
-
-    U -> V is the largest up-set W with W n U <= V, concretely
-    {a : up(a) n U <= V}.
+    """The Heyting algebra Up(A) of a finite frame A: the frame, its up-sets
+    and their membership columns. The operations are the frame's: & and |,
+    0 and frame.full_mask, and frame.imp.
     """
 
     def __init__(self, frame: Poset, cap: int = DEFAULT_UPSET_CAP):
         self.frame = frame
         self.carrier: list[int] = frame.all_upsets(cap)
-        self.bot = 0
-        self.top = frame.full_mask
         self._tables = None
 
     def __len__(self):
         return len(self.carrier)
-
-    def imp(self, u: int, v: int) -> int:
-        return self.frame.imp(u, v)
 
     def tables(self) -> list[int]:
         """Membership columns, built once: bit v of column i is set iff point
@@ -350,6 +345,11 @@ def algebra_depth(algebra) -> int:
 
 # ---------------------------------------------------------------------------
 # Valuation files
+
+
+def valuation_to_json(frame: Poset, valuation: dict[str, int]) -> dict[str, list[str]]:
+    """The JSON form {"p0": ["b"], ...} of a valuation, atoms in sorted order."""
+    return {p: frame.names_of(m) for p, m in sorted(valuation.items())}
 
 
 def valuation_from_json(frame: Poset, data) -> dict[str, int]:

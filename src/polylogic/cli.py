@@ -18,11 +18,12 @@ from .algebra import (
     eval_formula,
     is_valid,
     valuation_from_json,
+    valuation_to_json,
 )
 from .errors import MalformedInput, PolylogicError
 from .formula import And, Implies, Or, bd, fold, parse, pretty
+from .nerve import realize
 from .pipeline import (
-    decide_in_bd_logic,
     find_frame_countermodel,
     polyhedral_countermodel,
     verify_dim_bd,
@@ -46,6 +47,13 @@ def _emit(args, data, text: str | None = None):
         print(json.dumps(data, indent=1, sort_keys=True))
     else:
         print(text)
+
+
+def _set_text(names) -> str:
+    """A set of element names as {a,b}. A name that is empty or holds any of
+    ,{}" is written as a JSON string, so two different sets never print alike."""
+    return "{" + ",".join(json.dumps(x) if not x or set(x) & set(',{}"') else x
+                          for x in names) + "}"
 
 
 def _ast(f) -> str:
@@ -77,7 +85,7 @@ def cmd_poset(args) -> int:
         print(p.depth())
     else:  # upsets
         for mask in p.all_upsets(args.cap):
-            print("{" + ",".join(p.names_of(mask)) + "}")
+            print(_set_text(p.names_of(mask)))
     return 0
 
 
@@ -89,15 +97,15 @@ def cmd_frame(args) -> int:
         mask = eval_formula(frame, v, f)
         top = mask == frame.full_mask
         _emit(args, {"value": frame.names_of(mask), "top": top},
-              ("TOP" if top else "value: {" + ",".join(frame.names_of(mask)) + "}"))
+              "TOP" if top else "value: " + _set_text(frame.names_of(mask)))
         return 0 if top else 1
     res = is_valid(frame, f, budget=args.budget, cap=args.cap)
     if res.valid:
         _emit(args, {"status": "Valid", "checked": res.checked}, "Valid")
         return 0
-    val = {p_: frame.names_of(m) for p_, m in sorted(res.valuation.items())}
+    val = valuation_to_json(frame, res.valuation)
     _emit(args, {"status": "Refuted", "valuation": val},
-          "Refuted with " + "; ".join(f"{k}={{{','.join(v)}}}" for k, v in val.items()))
+          "Refuted with " + "; ".join(f"{k}={_set_text(v)}" for k, v in val.items()))
     return 1
 
 
@@ -125,10 +133,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    p = poset_from_json(read_text(args.file))
-    from .nerve import realize
-
-    k = realize(p)
+    k = realize(poset_from_json(read_text(args.file)))
     if args.export == "off":
         out = complex_to_off(k)
     else:
@@ -143,13 +148,12 @@ def cmd_nerve(args) -> int:
 
 def cmd_counter(args) -> int:
     f = parse(args.formula)
-    if args.polyhedral:
-        v = polyhedral_countermodel(f, args.depth, args.max_size, args.budget)
-    elif args.depth is not None:
-        v = decide_in_bd_logic(f, args.depth, args.max_size, args.budget)
+    if args.polyhedral:  # without --depth, any depth reachable at that size
+        depth = args.max_size if args.depth is None else args.depth
+        v = polyhedral_countermodel(f, depth, args.max_size, args.budget)
     else:
-        v = find_frame_countermodel(f, args.max_size, budget=args.budget)
-    print(json.dumps(v.to_json(), indent=1, sort_keys=True))
+        v = find_frame_countermodel(f, args.max_size, args.depth, args.budget)
+    _emit(args, v.to_json())
     code = 1 if v.refuted else 0
     if args.expect:
         want = 1 if args.expect == "refuted" else 0
@@ -165,6 +169,9 @@ def cmd_suite(args) -> int:
         subjects = {f"poset{i:03d}": p for i, p in enumerate(corpus_mod.corpus_posets())}
     else:
         subjects = corpus_mod.corpus_complexes()
+    if not subjects:
+        kind = "poset" if posets else "complex"
+        raise MalformedInput(f"{args.corpus} holds no {kind} for suite {args.action}")
     check = {"esakia": lambda p: verify_esakia(p, args.cap), "nerve": verify_nerve,
              "dimbd": lambda k: verify_dim_bd(k, args.budget, args.cap),
              "ji": lambda k: verify_ji(k, args.cap),
@@ -172,15 +179,9 @@ def cmd_suite(args) -> int:
              }[args.action]
     reports = [(n, check(s)) for n, s in subjects.items()]
     ok = all(r.ok for _, r in reports)
-    if args.json:
-        print(json.dumps(
-            {"ok": ok, "reports": [{"subject": n, **r.to_json()} for n, r in reports]},
-            indent=1, sort_keys=True))
-    else:
-        for n, r in reports:
-            for line in r.lines():
-                print(f"[{n}] {line}")
-        print("SUITE " + ("PASS" if ok else "FAIL"))
+    _emit(args, {"ok": ok, "reports": [{"subject": n, **r.to_json()} for n, r in reports]},
+          "\n".join([f"[{n}] {line}" for n, r in reports for line in r.lines()]
+                    + ["SUITE " + ("PASS" if ok else "FAIL")]))
     return 0 if ok else 1
 
 
@@ -276,8 +277,6 @@ def main(argv=None) -> int:
         return 2
     if args.command == "complex" and args.action in ("star", "carrier") and args.arg is None:
         ap.error(f"complex {args.action} needs ARG before FILE")
-    if args.command == "counter" and args.polyhedral and args.depth is None:
-        args.depth = args.max_size  # any depth reachable at that size
     try:
         return args.func(args)
     except (PolylogicError, OSError) as e:

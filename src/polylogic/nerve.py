@@ -7,10 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poset
-from .errors import CapExceeded, EmptyPoset, MalformedInput, NotACountermodel, SoundnessError
+from .algebra import eval_formula, valuation_to_json
+from .errors import CapExceeded, EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
 from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset
-from .simplicial import Complex, DefinableSet, build_complex, complex_to_json
+from .simplicial import Complex, DefinableSet, _separator, build_complex, complex_to_json
 
 __all__ = [
     "nerve",
@@ -29,9 +30,7 @@ def _chains(a: Poset) -> list[int]:
     on an element name holding ",", which joins the names in a chain's name."""
     if len(a) == 0:
         raise EmptyPoset("the empty poset has no nonempty chains")
-    for e in a.elements:
-        if "," in e:
-            raise MalformedInput(f"element name {e!r} contains ',', which separates chain names")
+    _separator(a.elements)
     count = _chain_count(a)
     if count > DEFAULT_UPSET_CAP:
         raise CapExceeded(count, f"more than {DEFAULT_UPSET_CAP} chains, the enumeration cap")
@@ -57,16 +56,10 @@ def _chain_count(a: Poset) -> int:
     return sum(g)
 
 
-def _chain_name(a: Poset, chain: int) -> str:
-    names = sorted(a.names_of(chain))
-    if all(len(x) == 1 for x in a.elements):
-        return "".join(names)
-    return ",".join(names)
-
-
 def _nerve(a: Poset, chains: list[int]) -> Poset:
     up = [sum(1 << k for k, t in enumerate(chains) if s & ~t == 0) for s in chains]
-    return Poset([_chain_name(a, c) for c in chains], up)
+    sep = _separator(a.elements)  # the simplex names of the realization
+    return Poset([sep.join(sorted(a.names_of(c))) for c in chains], up)
 
 
 def nerve(a: Poset) -> Poset:
@@ -118,9 +111,7 @@ class PolyhedralCountermodel:
         return {
             "formula": pretty(self.formula),
             "complex": complex_to_json(self.complex),
-            "valuation": {
-                p: self.frame.names_of(mask) for p, mask in sorted(self.valuation.items())
-            },
+            "valuation": valuation_to_json(self.frame, self.valuation),
             "evaluation": self.frame.names_of(self.evaluation),
             "dimension": self.complex.dim(),
         }
@@ -133,8 +124,6 @@ def transfer_countermodel(a: Poset, valuation: dict[str, int], f: Formula) -> Po
     The formula is re-evaluated on both the source frame and the nerve
     frame; both evaluations must refute.
     """
-    from .algebra import eval_formula
-
     if eval_formula(a, valuation, f) == a.full_mask:
         raise NotACountermodel("valuation does not refute the formula on the frame")
     k = realize(a)

@@ -19,9 +19,10 @@ from .algebra import (
     is_valid,
     join_irreducibles,
     stone_map,
+    valuation_to_json,
 )
 from .errors import BudgetExceeded, SoundnessError
-from .formula import Formula, atoms, bd, pretty
+from .formula import Formula, bd, pretty
 from .nerve import PolyhedralCountermodel, _chains, _max_map, _nerve, _realize
 from .nerve import transfer_countermodel
 from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
@@ -67,9 +68,7 @@ class Verdict:
         if self.frame is not None:
             out["frame"] = poset_to_json(self.frame)
         if self.valuation is not None and self.frame is not None:
-            out["valuation"] = {
-                p: self.frame.names_of(m) for p, m in sorted(self.valuation.items())
-            }
+            out["valuation"] = valuation_to_json(self.frame, self.valuation)
         if self.polyhedral is not None:
             out["polyhedral"] = self.polyhedral.to_json()
         return out
@@ -226,22 +225,19 @@ def verify_dim_bd(
     face = k.face_poset()
     h, depth = FiniteHeyting(face, cap), face.depth()
     rep.add(f"dim={d} equals face-poset depth", depth == d)
-    rep.add(
-        f"longest prime-filter chain = {d + 1}",
-        (algebra_depth(h) == d) if len(h) > 1 else d == 0,
-    )
+    rep.add(f"longest prime-filter chain = {d + 1}", algebra_depth(h) == d)
     for e in (d, d - 1) if d else (d,):
         want = e == d  # BD_d valid, BD_(d-1) refuted
-        space = len(h) ** len(atoms(bd(e)))
-        if space > budget:
+        try:
+            res = is_valid(face, bd(e), budget=budget, cap=cap, algebra=h)
+        except BudgetExceeded as over:
             verdict = "valid" if want else "refuted"
-            rep.add(f"BD_{e} {verdict} (via depth characterisation; search space {space} over "
-                    "budget)", (depth <= e) == want)
+            rep.add(f"BD_{e} {verdict} (via depth characterisation; search space {over.count} "
+                    "over budget)", (depth <= e) == want)
             continue
-        res = is_valid(face, bd(e), budget=budget, cap=cap, algebra=h)
         rep.add(f"BD_{e} valid (exhaustive, {res.checked} valuations)" if want else
                 f"BD_{e} refuted with valuation " + "; ".join(
-                    f"{p}={face.names_of(m)}" for p, m in sorted((res.valuation or {}).items())),
+                    f"{p}={v}" for p, v in valuation_to_json(face, res.valuation or {}).items()),
                 res.valid == want)
     return rep
 
@@ -288,11 +284,7 @@ def verify_esakia(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> Report:
 
 
 def _random_downset(face: Poset, rng: random.Random) -> int:
-    seeds = 0
-    for i in range(len(face)):
-        if rng.random() < 0.4:
-            seeds |= 1 << i
-    return face.down_closure(seeds)
+    return face.down_closure(sum(1 << i for i in range(len(face)) if rng.random() < 0.4))
 
 
 def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
@@ -316,15 +308,10 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
             if any(set(s) <= set(t) for t in residue)
         )
         ok = e.flags == oracle
-        # co-adjunction C <= D u E ...
-        ok = ok and c.mask & ~(dset.mask | e.mask) == 0
-        # ... with minimality: dropping any maximal element of E breaks it
-        top = face.maximal_of(e.mask)
-        while top:
-            bit = top & -top
-            if c.mask & ~(dset.mask | e.mask & ~bit) == 0:
-                ok = False
-            top &= top - 1
+        # co-adjunction C <= D u E, with minimality: dropping a maximal t of E
+        # breaks it, which given C <= D u E holds iff t is in C minus D
+        ok = (ok and c.mask & ~(dset.mask | e.mask) == 0
+              and face.maximal_of(e.mask) & ~(c.mask & ~dset.mask) == 0)
         if not ok:
             failures += 1
             if failures <= 3:

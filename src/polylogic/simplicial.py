@@ -3,8 +3,8 @@
 All geometry runs over ``fractions.Fraction``; no floating point enters
 any semantic decision. Simplices are sorted tuples of vertex ids, kept in
 ``Complex.simplices`` sorted by (size, ids); the canonical display name
-joins the sorted ids (``"acd"`` when every id is a single character,
-comma-separated otherwise).
+joins the sorted ids with ``_separator`` (``"acd"`` when every id is a
+single character, comma-separated otherwise).
 
 Each complex builds its face poset once, with element i the simplex
 ``simplices[i]``. A definable set is a polarity plus an int bitmask over
@@ -123,6 +123,15 @@ def barycentric_coordinates(points: list[Point], x: Point):
 # Complex
 
 
+def _separator(ids) -> str:
+    """What joins sorted ids into a simplex or chain name: nothing when every id
+    is one character, "," otherwise. An id holding "," raises MalformedInput."""
+    for i in ids:
+        if "," in i:
+            raise MalformedInput(f"id {i!r} contains ',', which separates the ids in a name")
+    return "" if all(len(i) == 1 for i in ids) else ","
+
+
 def _faces(key: SimplexKey) -> list[SimplexKey]:
     """Every nonempty face of a simplex, itself included."""
     m = len(key)
@@ -138,7 +147,7 @@ class Complex:
         self.ambient = ambient
         self.simplices: list[SimplexKey] = sorted(simplices, key=lambda s: (len(s), s))
         self.index = {s: i for i, s in enumerate(self.simplices)}
-        self._multichar = any(len(v) != 1 for v in self.vertices)
+        self._sep = _separator(self.vertices)
         up = [0] * len(self.simplices)
         for i, s in enumerate(self.simplices):
             for face in _faces(s):
@@ -149,11 +158,10 @@ class Complex:
         return len(self.simplices)
 
     def name(self, key: SimplexKey) -> str:
-        sep = "," if self._multichar else ""
-        return sep.join(key)
+        return self._sep.join(key)
 
     def key_of(self, name: str) -> SimplexKey:
-        key = tuple(sorted(name.split(","))) if self._multichar else tuple(sorted(name))
+        key = tuple(sorted(name.split(self._sep) if self._sep else name))
         if key not in self.index:
             raise UnknownSimplex(name)
         return key
@@ -161,7 +169,7 @@ class Complex:
     def _bit(self, key: SimplexKey) -> int:
         key = tuple(key)
         if key not in self.index:
-            raise UnknownSimplex("".join(key))
+            raise UnknownSimplex(self.name(key))
         return self.index[key]
 
     def simplices_of(self, mask: int) -> list[SimplexKey]:
@@ -296,13 +304,12 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
     """Close the listed simplices under faces, checking exact affine
     independence of every listed simplex. Vertex ids may not hold ",", which
     joins the ids in a simplex name."""
+    _separator(vertices)
     verts: dict[str, Point] = {}
     ambient = None
     for name, coords in vertices.items():
         if name in verts:
             raise DuplicateVertex(name)
-        if "," in name:
-            raise MalformedInput(f"vertex id {name!r} contains ',', which separates simplex names")
         pt = tuple(parse_rational(c) for c in coords)
         if ambient is None:
             ambient = len(pt)

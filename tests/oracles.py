@@ -282,8 +282,8 @@ def is_valid(frame, f):
         ok = eval_formula(frame, {}, f) == frame.full_mask
         return ok, None if ok else {}, 1
     tables = operation_tables(h)
-    bot_idx = h.carrier.index(h.bot)
-    top_idx = h.carrier.index(h.top)
+    bot_idx = h.carrier.index(0)
+    top_idx = h.carrier.index(frame.full_mask)
     inner = names[-2:] if k >= 2 else names[-1:]
     outer = names[: k - len(inner)]
     if len(inner) == 2:
@@ -358,7 +358,7 @@ def join_irreducibles(algebra):
     the carrier elements strictly below them, in carrier order."""
     out = []
     for u in algebra.carrier:
-        if u == algebra.bot:
+        if u == 0:
             continue
         joined = 0
         for v in algebra.carrier:
@@ -429,7 +429,6 @@ class LowerSets:
     def __init__(self, frame):
         self.frame = frame
         self.carrier = sorted(frame.full_mask & ~u for u in frame.all_upsets())
-        self.bot = 0
 
     def __len__(self):
         return len(self.carrier)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -17,8 +18,9 @@ from polylogic.algebra import (
     stone_map,
     up_of_pmorphism,
     valuation_from_json,
+    valuation_to_json,
 )
-from polylogic.corpus import corpus_complexes
+from polylogic.corpus import corpus_complexes, corpus_posets
 from polylogic.errors import (
     BudgetExceeded,
     CapExceeded,
@@ -50,7 +52,7 @@ def test_residuation_exhaustive_on_small_frames():
     for p in [chain(3), fork()]:
         h = FiniteHeyting(p)
         for u, v, w in itertools.product(h.carrier, repeat=3):
-            assert ((u & w) | v == v) == (w & h.imp(u, v) == w)
+            assert ((u & w) | v == v) == (w & p.imp(u, v) == w)
 
 
 def test_co_residuation_exhaustive():
@@ -63,11 +65,10 @@ def test_co_residuation_exhaustive():
 
 def test_implication_example_two_chain():
     p = chain(2)
-    h = FiniteHeyting(p)
     top, c1 = p.full_mask, p.mask_of(["c1"])
-    assert h.imp(c1, 0) == 0  # ~{c1} = empty
-    assert h.imp(0, 0) == top
-    assert h.imp(top, c1) == c1
+    assert p.imp(c1, 0) == 0  # ~{c1} = empty
+    assert p.imp(0, 0) == top
+    assert p.imp(top, c1) == c1
 
 
 def test_duality_of_implications():
@@ -77,7 +78,7 @@ def test_duality_of_implications():
         h = FiniteHeyting(p)
         full = p.full_mask
         for u, v in itertools.product(h.carrier, repeat=2):
-            assert full ^ h.imp(u, v) == p.down_closure((full ^ v) & ~(full ^ u))
+            assert full ^ p.imp(u, v) == p.down_closure((full ^ v) & ~(full ^ u))
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +311,18 @@ def test_valuation_from_json():
     assert v == {"p": p.mask_of(["c1"]), "q": 0}
     with pytest.raises(Exception):
         valuation_from_json(p, {"p": ["c0"]})  # {c0} is not an up-set
+
+
+def test_valuation_json_round_trips_the_refutations_on_the_corpus():
+    refuted = 0
+    for p in corpus_posets():
+        for f in (parse("p | ~p"), parse("(p -> q) | (q -> p)"), bd(1)):
+            res = is_valid(p, f)
+            if res.valid:
+                continue
+            refuted += 1
+            data = valuation_to_json(p, res.valuation)
+            assert list(data) == sorted(res.valuation)
+            assert valuation_from_json(p, data) == res.valuation
+            assert valuation_from_json(p, json.dumps(data)) == res.valuation
+    assert refuted > 100

@@ -303,6 +303,9 @@ def test_missing_file_exits_2(capsys):
     "corpus complex not UTF-8",
     "corpus complex not JSON",
     "corpus poset with a cycle",
+    "suite on a corpus of posets only",
+    "suite on a corpus of complexes only",
+    "suite on an empty corpus",
 ])
 def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, case):
     chain2 = _write(tmp_path / "chain2.json", '{"elements": ["a", "b"], "covers": [["a", "b"]]}')
@@ -316,6 +319,10 @@ def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, ca
         _write(corpus / "bad.complex.json", "{")
     elif case == "corpus poset with a cycle":
         _write(corpus / "bad.json", '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}')
+    elif case == "suite on a corpus of posets only":
+        _write(corpus / "chain2.json", chain2.read_text())
+    elif case == "suite on a corpus of complexes only":
+        _write(corpus / "point.complex.json", '{"vertices": {"a": []}, "maximal": [["a"]]}')
     argv = {
         "poset depth of a directory": ["poset", "depth", str(tmp_path)],
         "nerve realize into a directory": ["nerve", "realize", str(chain2), "-o", str(tmp_path)],
@@ -325,10 +332,17 @@ def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, ca
         "corpus complex not UTF-8": ["suite", "dimbd", "--corpus", str(corpus)],
         "corpus complex not JSON": ["suite", "dimbd", "--corpus", str(corpus)],
         "corpus poset with a cycle": ["suite", "esakia", "--corpus", str(corpus)],
+        "suite on a corpus of posets only": ["suite", "dimbd", "--corpus", str(corpus)],
+        "suite on a corpus of complexes only": ["suite", "esakia", "--corpus", str(corpus)],
+        "suite on an empty corpus": ["suite", "hneg", "--corpus", str(corpus)],
     }[case]
     code, _, err = run(capsys, *argv)
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
-    assert "bad." in err or not any(corpus.iterdir())  # a bad corpus file is named
+    if case.startswith("suite on"):  # a corpus with nothing to check is named
+        kind = "poset" if argv[1] == "esakia" else "complex"
+        assert f"{corpus} holds no {kind} for suite {argv[1]}" in err
+    else:
+        assert "bad." in err or not any(corpus.iterdir())  # a bad corpus file is named
 
 
 def test_write_corpus_reproduces_the_checked_in_corpus(corpus_dir):
@@ -431,6 +445,22 @@ def test_complex_refuses_a_vertex_id_holding_a_comma(capsys, tmp_path):
     for action in (["build"], ["star", "a,b"]):
         code, _, err = run(capsys, "complex", *action, str(path))
         assert code == 2 and err.count("\n") == 1 and "'a,b'" in err
+
+
+def test_set_text_quotes_a_name_that_holds_a_comma(capsys, tmp_path):
+    # {a, b} and {"a,b"} are different up-sets and print as different lines
+    path = _write(tmp_path / "comma.json",
+                  '{"elements": ["a", "b", "a,b"], "covers": [["a", "b"]]}')
+    code, out, _ = run(capsys, "poset", "upsets", str(path))
+    lines = out.splitlines()
+    assert code == 0 and len(set(lines)) == len(lines) == 6
+    assert {"{}", "{a,b}", '{"a,b"}', '{a,b,"a,b"}'} <= set(lines)
+    valuation = _write(tmp_path / "v.json", '{"p": ["a,b"]}')
+    code, out, _ = run(capsys, "frame", "check", "p", str(path), "--valuation", str(valuation))
+    assert code == 1 and out == 'value: {"a,b"}\n'
+    top = _write(tmp_path / "top.json", '{"elements": ["x", "{y}"], "covers": [["x", "{y}"]]}')
+    code, out, _ = run(capsys, "frame", "check", "p | ~p", str(top))
+    assert code == 1 and out == 'Refuted with p={"{y}"}\n'
 
 
 def test_suite_reads_the_corpus_posets(capsys, corpus_dir, tmp_path):

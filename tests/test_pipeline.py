@@ -27,7 +27,7 @@ from polylogic.pipeline import (
     verify_nerve,
 )
 from polylogic.poset import MonotoneMap, enumerate_posets, from_covers
-from polylogic.simplicial import build_complex
+from polylogic.simplicial import DefinableSet, build_complex
 
 
 def test_frame_countermodel_for_excluded_middle():
@@ -164,3 +164,18 @@ def test_dual_map_equations_are_checked(monkeypatch):
     monkeypatch.setattr(MonotoneMap, "preimage_mask", lambda self, m: 0)
     with pytest.raises(SoundnessError):
         up_of_pmorphism(f)
+
+
+@pytest.mark.parametrize("fault", ["too large", "too small"])
+def test_hneg_fails_on_a_wrong_co_implication(monkeypatch, fault):
+    real = pipeline.co_implication
+
+    def wrong(c, d):
+        if fault == "too large":  # the closure of C, which C \ D need not reach
+            return DefinableSet(c.complex, "closed", c.complex.face_poset().down_closure(c.mask))
+        return DefinableSet(c.complex, "closed", 0) if c.mask & ~d.mask else real(c, d)
+
+    monkeypatch.setattr(pipeline, "co_implication", wrong)
+    rep = verify_hneg(corpus.square_complex(), trials=40, seed=5)
+    assert not rep.ok
+    assert any(not ok and "random closed pairs" in label for label, ok, _ in rep.entries)

@@ -11,6 +11,7 @@ from polylogic.errors import (
     DuplicateVertex,
     OutsideSupport,
     PolarityMismatch,
+    UnknownSimplex,
     WrongDimension,
 )
 from polylogic.simplicial import (
@@ -154,6 +155,13 @@ def test_open_star():
     k = square()
     assert k.open_star(("a", "c")).names() == ["ac", "abc", "acd"]
     assert k.open_star(("b",)).names() == ["b", "ab", "bc", "abc"]
+
+
+def test_unknown_simplex_is_named_as_the_complex_names_it():
+    # multi-character ids join with ",", so ("a", "zz") is a,zz and not azz
+    k = build_complex({"a": ["0"], "bc": ["1"]}, [["a", "bc"]])
+    with pytest.raises(UnknownSimplex, match="'a,zz'"):
+        k.open_star(("a", "zz"))
 
 
 def test_star_matches_cofaces():
