@@ -56,6 +56,11 @@ def _set_text(names) -> str:
                           for x in names) + "}"
 
 
+def _simplex_text(name: str) -> str:
+    """A simplex name in a list, as a JSON string if it is empty or holds whitespace, " or |."""
+    return json.dumps(name) if name.split() != [name] or set(name) & set('"|') else name
+
+
 def _ast(f) -> str:
     op = {And: "and", Or: "or", Implies: "implies"}
     return fold(f, pretty, lambda g, left, right: f"({op[type(g)]} {left} {right})")
@@ -113,11 +118,11 @@ def cmd_complex(args) -> int:
     k = complex_from_json(read_text(args.file))
     if args.action == "build":
         _emit(args, complex_to_json(k),
-              f"{len(k)} simplices: " + " ".join(k.name(s) for s in k.simplices))
+              f"{len(k)} simplices: " + " ".join(_simplex_text(k.name(s)) for s in k.simplices))
     elif args.action == "verify":
         rep = verify_complex(k)
-        _emit(args, {"ok": rep.ok, "violations": rep.violations},
-              "ok" if rep.ok else "violations: " + " ".join(f"{a}|{b}" for a, b in rep.violations))
+        _emit(args, {"ok": rep.ok, "violations": rep.violations}, "ok" if rep.ok else "violations: "
+              + " ".join(f"{_simplex_text(a)}|{_simplex_text(b)}" for a, b in rep.violations))
         return 0 if rep.ok else 1
     elif args.action == "dim":
         print(k.dim())
@@ -125,7 +130,7 @@ def cmd_complex(args) -> int:
         print(json.dumps(poset_to_json(k.face_poset()), indent=1))
     elif args.action == "star":
         star = k.open_star(k.key_of(args.arg))
-        print(" ".join(star.names()))
+        print(" ".join(map(_simplex_text, star.names())))
     elif args.action == "carrier":
         point = tuple(parse_rational(c) for c in args.arg.split(","))
         print(k.name(k.carrier(point)))
@@ -172,7 +177,8 @@ def cmd_suite(args) -> int:
     if not subjects:
         kind = "poset" if posets else "complex"
         raise MalformedInput(f"{args.corpus} holds no {kind} for suite {args.action}")
-    check = {"esakia": lambda p: verify_esakia(p, args.cap), "nerve": verify_nerve,
+    check = {"esakia": lambda p: verify_esakia(p, args.cap),
+             "nerve": lambda p: verify_nerve(p, args.cap),
              "dimbd": lambda k: verify_dim_bd(k, args.budget, args.cap),
              "ji": lambda k: verify_ji(k, args.cap),
              "hneg": lambda k: verify_hneg(k, max(1, args.trials // len(subjects)), args.seed),

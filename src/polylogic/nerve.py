@@ -4,7 +4,6 @@ vectors, the max-element p-morphism, and countermodel transfer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import poset
 from .algebra import eval_formula, valuation_to_json
@@ -22,18 +21,17 @@ __all__ = [
 ]
 
 
-def _chains(a: Poset) -> list[int]:
+def _chains(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
     """All nonempty chains as element masks, in ascending order of their
-    sorted index tuples: each chain is followed by its extensions by a
-    larger index comparable to every element of it. Raises CapExceeded
-    before enumerating more than DEFAULT_UPSET_CAP chains, and MalformedInput
-    on an element name holding ",", which joins the names in a chain's name."""
+    sorted index tuples: each chain is followed by its extensions by a larger
+    index comparable to every element of it. Raises CapExceeded before listing
+    more than cap chains, and MalformedInput on an element name holding ","."""
     if len(a) == 0:
         raise EmptyPoset("the empty poset has no nonempty chains")
     _separator(a.elements)
     count = _chain_count(a)
-    if count > DEFAULT_UPSET_CAP:
-        raise CapExceeded(count, f"more than {DEFAULT_UPSET_CAP} chains, the enumeration cap")
+    if count > cap:
+        raise CapExceeded(count, f"more than {cap} chains, the enumeration cap")
     out = []
     stack = [(1 << i, a.up[i] | a.down[i], i) for i in reversed(range(len(a)))]
     while stack:
@@ -56,15 +54,10 @@ def _chain_count(a: Poset) -> int:
     return sum(g)
 
 
-def _nerve(a: Poset, chains: list[int]) -> Poset:
-    up = [sum(1 << k for k, t in enumerate(chains) if s & ~t == 0) for s in chains]
-    sep = _separator(a.elements)  # the simplex names of the realization
-    return Poset([sep.join(sorted(a.names_of(c))) for c in chains], up)
-
-
 def nerve(a: Poset) -> Poset:
-    """Poset of all nonempty chains of a, ordered by inclusion."""
-    return _nerve(a, _chains(a))
+    """Poset of all nonempty chains of a, ordered by inclusion: the face
+    poset of realize(a), element i being the chain realize(a).simplices[i]."""
+    return realize(a).face_poset()
 
 
 def realize(a: Poset) -> Complex:
@@ -74,26 +67,22 @@ def realize(a: Poset) -> Complex:
 
 
 def _realize(a: Poset, chains: list[int]) -> Complex:
-    n = len(a)
-    vertices = {
-        a.elements[i]: [str(Fraction(int(i == j))) for j in range(n)]
-        for i in range(n)
-    }
-    found = set(chains)
-    maximal = [c for c in chains
-               if not any(c | 1 << j in found for j in range(n) if not c >> j & 1)]
+    n, seen = len(a), set(chains)
+    vertices = {e: [str(int(i == j)) for j in range(n)] for i, e in enumerate(a.elements)}
+    maximal = [c for c in chains if not any(c | 1 << j in seen for j in range(n) if not c >> j & 1)]
     return build_complex(vertices, [a.names_of(c) for c in maximal])
 
 
-def _max_map(a: Poset, dom: Poset, chains: list[int]) -> MonotoneMap:
-    """The map sending element i of dom, the chain chains[i] of a, to its maximum."""
-    return MonotoneMap(dom, a, tuple(a.elements[a.maximal_of(c).bit_length() - 1] for c in chains))
+def _max_map(a: Poset, k: Complex) -> MonotoneMap:
+    """The map from the face poset of k, a realization of a, sending each
+    simplex to the maximum of its vertices in a."""
+    return MonotoneMap(k.face_poset(), a, tuple(
+        a.elements[a.maximal_of(a.mask_of(s)).bit_length() - 1] for s in k.simplices))
 
 
 def max_pmorphism(a: Poset) -> MonotoneMap:
     """The p-morphism nerve(a) -> a sending each chain to its maximum."""
-    chains = _chains(a)
-    return _max_map(a, _nerve(a, chains), chains)
+    return _max_map(a, realize(a))
 
 
 @dataclass
@@ -128,7 +117,7 @@ def transfer_countermodel(a: Poset, valuation: dict[str, int], f: Formula) -> Po
         raise NotACountermodel("valuation does not refute the formula on the frame")
     k = realize(a)
     face = k.face_poset()
-    pm = _max_map(a, face, [a.mask_of(s) for s in k.simplices])
+    pm = _max_map(a, k)
     ok, witness = poset.is_pmorphism(pm)
     if not (ok and pm.is_surjective()):
         raise SoundnessError(f"max map is not a surjective p-morphism, witness {witness}")

@@ -39,7 +39,8 @@ DEFAULT_UPSET_CAP = 1 << 20
 class Poset:
     __slots__ = ("elements", "index", "up", "down")
 
-    def __init__(self, elements, up_masks, *, _trusted: bool = False):
+    def __init__(self, elements, up_masks, *, _down=None):
+        """The order with these up-masks; given _down, its converse rows, it is trusted."""
         self.elements: tuple[str, ...] = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise MalformedInput("duplicate element identifiers")
@@ -48,10 +49,10 @@ class Poset:
         n = len(self.elements)
         if len(self.up) != n:
             raise MalformedInput("one up-mask per element required")
-        if not _trusted and any(u >> n for u in self.up):
+        if _down is None and any(u >> n for u in self.up):
             raise MalformedInput("up-mask references unknown element")
-        self.down: tuple[int, ...] = tuple(_transpose(self.up, n))
-        if not _trusted:
+        self.down: tuple[int, ...] = tuple(_transpose(self.up, n) if _down is None else _down)
+        if _down is None:
             self._validate()
 
     def _validate(self):
@@ -106,7 +107,7 @@ class Poset:
     def op(self) -> "Poset":
         """The opposite order on the same elements: its up-sets are the
         down-sets of self, so Lo(P) is Up(P.op())."""
-        return Poset(self.elements, self.down, _trusted=True)
+        return Poset(self.elements, self.down, _down=self.up)
 
     def is_upset(self, mask: int) -> bool:
         return self.up_closure(mask) == mask
@@ -137,23 +138,14 @@ class Poset:
             m &= m - 1
         return out
 
-    # -- depth ------------------------------------------------------------
-
     def depth(self) -> int:
-        """Longest chain cardinality minus one; -1 for the empty poset."""
-        n = len(self.elements)
-        if n == 0:
-            return -1
-        memo = [0] * n
-        for i in sorted(range(n), key=lambda i: bin(self.up[i]).count("1")):
-            best = 0
-            m = self.up[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                best = max(best, 1 + memo[j])
-                m &= m - 1
-            memo[i] = best
-        return max(memo)
+        """Longest chain cardinality minus one; -1 for the empty poset. A longest
+        chain loses one point each time the maximal points are peeled off."""
+        d, rest = -1, self.full_mask
+        while rest:
+            rest &= ~self.maximal_of(rest)
+            d += 1
+        return d
 
     # -- up-set enumeration ----------------------------------------------
 
@@ -173,9 +165,8 @@ class Poset:
     # -- isomorphism ------------------------------------------------------
 
     def is_order_isomorphism(self, other: "Poset", mapping: dict[str, str]) -> bool:
-        """Check that the given element bijection preserves and reflects
-        the order (cheap alternative to canonical forms when a candidate
-        map is known): a bijection does so iff it is a p-morphism."""
+        """Check that the given element bijection preserves and reflects the
+        order: a bijection does so iff it is a p-morphism."""
         if sorted(mapping) != sorted(self.elements):
             return False
         if sorted(mapping.values()) != sorted(other.elements):
@@ -230,7 +221,7 @@ def from_covers(elements, covers) -> Poset:
     for i in range(n):
         if up[i] & down[i] != 1 << i:
             raise CycleError(_witness_cycle(succ, i, elements))
-    return Poset(elements, up, _trusted=True)
+    return Poset(elements, up, _down=down)
 
 
 def _witness_cycle(succ, i, elements):
@@ -264,7 +255,6 @@ class MonotoneMap:
     cod: Poset
     mapping: tuple[str, ...]  # image of dom.elements[i]
     image: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _bits: list[int] = field(init=False, repr=False, compare=False)  # 1 << image[i]
     _fibres: list[int] = field(init=False, repr=False, compare=False)  # preimage of each point
 
     def __post_init__(self):
@@ -272,8 +262,7 @@ class MonotoneMap:
             raise NotMonotone("mapping must be total on the domain")
         self.cod.mask_of(self.mapping)  # raises UnknownElement
         object.__setattr__(self, "image", tuple(self.cod.index[name] for name in self.mapping))
-        object.__setattr__(self, "_bits", [1 << j for j in self.image])
-        object.__setattr__(self, "_fibres", _transpose(self._bits, len(self.cod)))
+        object.__setattr__(self, "_fibres", _transpose([1 << j for j in self.image], len(self.cod)))
         for x, fx in enumerate(self.image):
             bad = self.dom.up[x] & ~self.preimage_mask(self.cod.up[fx])
             if bad:
@@ -285,26 +274,28 @@ class MonotoneMap:
         return self.mapping[self.dom.index[name]]
 
     def image_mask(self, dom_mask: int) -> int:
-        return _union(self._bits, dom_mask)
+        return sum(1 << y for y, fibre in enumerate(self._fibres) if fibre & dom_mask)
 
     def preimage_mask(self, cod_mask: int) -> int:
         return _union(self._fibres, cod_mask)
 
     def is_surjective(self) -> bool:
-        return self.image_mask(self.dom.full_mask) == self.cod.full_mask
+        return all(self._fibres)
 
 
 def is_pmorphism(f: MonotoneMap):
-    """Check f[up a] = up f(a) for all a.
-
-    Returns (True, None) or (False, (a, missed_target)).
-    """
-    for i, a in enumerate(f.dom.elements):
-        missed = f.image_mask(f.dom.up[i]) ^ f.cod.up[f.image[i]]
-        if missed:
-            j = (missed & -missed).bit_length() - 1
-            return False, (a, f.cod.elements[j])
-    return True, None
+    """Check f[up a] = up f(a) for all a: (True, None), or (False, (a, missed))
+    for the first a that fails. For monotone f that is f^-1(down y) = down f^-1(y)
+    for each y in cod, a point a on the left only having f(a) <= y = f(b) for no b >= a."""
+    bad = 0
+    for y, fibre in enumerate(f._fibres):
+        bad |= f.preimage_mask(f.cod.down[y]) & ~f.dom.down_closure(fibre)
+    if not bad:
+        return True, None
+    i = (bad & -bad).bit_length() - 1
+    missed = f.image_mask(f.dom.up[i]) ^ f.cod.up[f.image[i]]
+    j = (missed & -missed).bit_length() - 1
+    return False, (f.dom.elements[i], f.cod.elements[j])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +378,7 @@ def enumerate_posets(n: int, max_depth: int | None = None):
             for form in levels[-1]:
                 for extended in _extensions(form, k):
                     if max_depth is not None:
-                        p = Poset([f"t{i}" for i in range(k)], extended, _trusted=True)
+                        p = Poset(map(str, range(k)), extended, _down=_transpose(extended, k))
                         if p.depth() > max_depth:
                             continue
                     nxt.add(_canonical_form(extended, k))
@@ -395,14 +386,14 @@ def enumerate_posets(n: int, max_depth: int | None = None):
         level = levels[n - 1]
     names = [f"x{i + 1}" for i in range(n)]
     for form in level:
-        yield Poset(names, form, _trusted=True)
+        yield Poset(names, form, _down=_transpose(form, n))
 
 
 def _extensions(up, k):
     """Extend a poset on k-1 elements (up-mask tuple) by a new maximal
     element, one extension per down-set: the elements below it."""
     m = k - 1
-    base = Poset([str(i) for i in range(m)], up, _trusted=True)
+    base = Poset([str(i) for i in range(m)], up, _down=_transpose(up, m))
     for d_mask in (base.full_mask ^ upset for upset in base.all_upsets()):
         yield tuple(u | (d_mask >> i & 1) << m for i, u in enumerate(up)) + (1 << m,)
 

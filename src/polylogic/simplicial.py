@@ -7,11 +7,15 @@ joins the sorted ids with ``_separator`` (``"acd"`` when every id is a
 single character, comma-separated otherwise).
 
 Each complex builds its face poset once, with element i the simplex
-``simplices[i]``. A definable set is a polarity plus an int bitmask over
-that order: a down-set of the face poset when closed, an up-set when
-open (PC^c(K) = Lo(F(K)) = Up(F(K).op()), PC^o(K) = Up(F(K))). Its
-algebra is the frame algebra of ``Poset``; geometry enters only through
-carrier() and member().
+``simplices[i]``, from facets: the down-set of a simplex is itself and
+the down-sets of its one-vertex deletions, which come before it in
+simplex order, and its up-set is itself and the up-sets of its
+cofacets, which come after; O(N * dim) row ORs for N simplices.
+
+A definable set is a polarity plus an int bitmask over the face poset:
+a down-set when closed, an up-set when open (PC^c(K) = Lo(F(K)) =
+Up(F(K).op()), PC^o(K) = Up(F(K))). Its algebra is the frame algebra of
+``Poset``; geometry enters only through carrier() and member().
 """
 
 from __future__ import annotations
@@ -132,12 +136,6 @@ def _separator(ids) -> str:
     return "" if all(len(i) == 1 for i in ids) else ","
 
 
-def _faces(key: SimplexKey) -> list[SimplexKey]:
-    """Every nonempty face of a simplex, itself included."""
-    m = len(key)
-    return [tuple(key[i] for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
-
-
 class Complex:
     """Geometric simplicial complex closed under nonempty faces;
     ``index[s]`` is the bit of simplex s in every mask over it."""
@@ -148,11 +146,17 @@ class Complex:
         self.simplices: list[SimplexKey] = sorted(simplices, key=lambda s: (len(s), s))
         self.index = {s: i for i, s in enumerate(self.simplices)}
         self._sep = _separator(self.vertices)
-        up = [0] * len(self.simplices)
-        for i, s in enumerate(self.simplices):
-            for face in _faces(s):
-                up[self.index[face]] |= 1 << i
-        self._face = Poset([self.name(s) for s in self.simplices], up, _trusted=True)
+        n = len(self.simplices)
+        facets = [[self.index[s[:j] + s[j + 1:]] for j in range(len(s))] if len(s) > 1 else []
+                  for s in self.simplices]
+        up, down = [1 << i for i in range(n)], [1 << i for i in range(n)]
+        for i in range(n):  # the facets of a simplex come before it
+            for j in facets[i]:
+                down[i] |= down[j]
+        for i in reversed(range(n)):  # and its cofacets after it, so up[i] is whole here
+            for j in facets[i]:
+                up[j] |= up[i]
+        self._face = Poset([self.name(s) for s in self.simplices], up, _down=down)
 
     def __len__(self):
         return len(self.simplices)
@@ -335,7 +339,8 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
                 raise DuplicateVertex(f"simplex references unknown vertex {v!r}")
         if not affinely_independent([verts[v] for v in ids]):
             raise AffinelyDependent(ids)
-        simplices.update(_faces(ids))
+        simplices.update(tuple(v for b, v in enumerate(ids) if mask >> b & 1)
+                         for mask in range(1, 1 << len(ids)))  # every nonempty face
     return Complex(verts, simplices, ambient)
 
 

@@ -5,7 +5,9 @@ Geometry: the direct frozenset scans and the separate exact eliminations
 that ``polylogic.simplicial`` used before definable sets became face-poset
 bitmasks and the eliminations became one Gauss-Jordan routine. They are
 slow and independent of the face poset: simplices are compared by raw
-vertex-set inclusion only.
+vertex-set inclusion only. The face poset's rows as they were built
+before they were built from facets: by visiting every nonempty face of
+every simplex, 3^n visits for the faces of an n-vertex simplex.
 
 Search: the countermodel search over every poset of each size, and the
 validity check that vectorises over the last two atoms only, as used
@@ -65,13 +67,25 @@ from polylogic.algebra import FiniteHeyting, _spectrum
 from polylogic.errors import CapExceeded, MissingAtom, ParseError
 from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, neg
 from polylogic.pipeline import Report
-from polylogic.poset import DEFAULT_UPSET_CAP, Poset, _canonical_form, enumerate_posets
+from polylogic.poset import DEFAULT_UPSET_CAP, Poset, _canonical_form, _transpose, enumerate_posets
 from polylogic.simplicial import build_complex
 
 
 def faces_of(k, key):
     """Every simplex of k that is a face of key, key included."""
     return [t for t in k.simplices if set(t) <= set(key)]
+
+
+def face_rows(k):
+    """The up and down rows of k's face poset, one bit set per (face,
+    simplex) pair found by listing each simplex's nonempty faces."""
+    up, down = [0] * len(k), [0] * len(k)
+    for i, s in enumerate(k.simplices):
+        for mask in range(1, 1 << len(s)):
+            j = k.index[tuple(v for b, v in enumerate(s) if mask >> b & 1)]
+            up[j] |= 1 << i
+            down[i] |= 1 << j
+    return up, down
 
 
 def cofaces_of(k, key):
@@ -325,7 +339,7 @@ def all_extensions(up, k):
     """Extend a poset on k-1 elements (up-mask tuple) by a new element in
     every compatible way: below a down-set d, above an up-set u."""
     m = k - 1
-    base = Poset([str(i) for i in range(m)], up, _trusted=True)
+    base = Poset([str(i) for i in range(m)], up, _down=_transpose(up, m))
     for d_mask in base.op().all_upsets():
         for u_mask in base.all_upsets():
             if d_mask & u_mask:
@@ -345,7 +359,7 @@ def enumerate_by_all_extensions(n, max_depth=None):
         for form in forms:
             for extended in all_extensions(form, k):
                 if max_depth is not None:
-                    p = Poset([f"t{i}" for i in range(k)], extended, _trusted=True)
+                    p = Poset([f"t{i}" for i in range(k)], extended, _down=_transpose(extended, k))
                     if p.depth() > max_depth:
                         continue
                 nxt.add(_canonical_form(extended, k))

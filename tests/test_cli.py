@@ -447,6 +447,26 @@ def test_complex_refuses_a_vertex_id_holding_a_comma(capsys, tmp_path):
         assert code == 2 and err.count("\n") == 1 and "'a,b'" in err
 
 
+def test_complex_text_quotes_a_simplex_name_that_holds_a_space(capsys, tmp_path):
+    # "a b", "c" and "a b,c" are three simplices, not the ids a, b, c and a b,c
+    path = _write(tmp_path / "space.complex.json",
+                  '{"vertices": {"a b": ["0"], "c": ["1"]}, "maximal": [["a b", "c"]]}')
+    code, out, _ = run(capsys, "complex", "build", str(path))
+    assert code == 0 and out == '3 simplices: "a b" c "a b,c"\n'
+    code, out, _ = run(capsys, "complex", "star", "c", str(path))
+    assert code == 0 and out == 'c "a b,c"\n'
+    crossing = _write(tmp_path / "crossing.complex.json", json.dumps({
+        "vertices": {"a b": [0, 0], "c": [2, 2], "d": [0, 2], 'e"|': [2, 0], "": [5, 5]},
+        "maximal": [["a b", "c"], ["d", 'e"|'], [""]]}))
+    code, out, _ = run(capsys, "complex", "build", str(crossing))
+    assert code == 0 and out == (
+        '7 simplices: "" "a b" c d "e\\"|" "a b,c" "d,e\\"|"\n')
+    code, out, _ = run(capsys, "complex", "verify", str(crossing))
+    assert code == 1 and out == 'violations: "a b,c"|"d,e\\"|"\n'
+    code, out, _ = run(capsys, "complex", "verify", "--json", str(crossing))
+    assert json.loads(out)["violations"] == [["a b,c", 'd,e"|']]
+
+
 def test_set_text_quotes_a_name_that_holds_a_comma(capsys, tmp_path):
     # {a, b} and {"a,b"} are different up-sets and print as different lines
     path = _write(tmp_path / "comma.json",
@@ -471,6 +491,14 @@ def test_suite_reads_the_corpus_posets(capsys, corpus_dir, tmp_path):
     _write(tmp_path / "point.json", '{"elements": ["a"], "covers": []}')
     code, out, _ = run(capsys, "--json", "suite", "nerve", "--corpus", str(tmp_path))
     assert code == 0 and [r["subject"] for r in json.loads(out)["reports"]] == ["point"]
+
+
+def test_suite_nerve_keeps_to_the_cap(capsys):
+    # the bundled 5-chain has 2**5 - 1 = 31 chains, the most of any corpus poset
+    code, out, err = run(capsys, "suite", "nerve", "--cap", "30")
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "suite", "nerve", "--cap", "31")
+    assert code == 0 and out.endswith("SUITE PASS\n")
 
 
 def test_suite_esakia_on_a_14_antichain(capsys, tmp_path):

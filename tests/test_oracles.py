@@ -11,7 +11,7 @@ import oracles
 from polylogic import corpus, simplicial
 from polylogic.errors import AffinelyDependent, DuplicateVertex, PolarityMismatch
 from polylogic.nerve import realize
-from polylogic.poset import from_covers
+from polylogic.poset import enumerate_posets, from_covers
 from polylogic.simplicial import (
     build_complex,
     co_implication,
@@ -118,6 +118,16 @@ def _perturbed_realizations(count, seed):
         except (AffinelyDependent, DuplicateVertex):
             continue
     return out
+
+
+def test_face_rows_match_the_all_faces_build():
+    complexes = list(corpus.corpus_complexes().values())
+    complexes += [realize(p) for n in range(1, 6) for p in enumerate_posets(n)]
+    complexes += _perturbed_realizations(40, seed=2)
+    assert len(complexes) == 7 + 87 + 40
+    for k in complexes:
+        face = k.face_poset()
+        assert (list(face.up), list(face.down)) == oracles.face_rows(k)
 
 
 def test_verify_complex_matches_all_pairs_oracle(monkeypatch):

@@ -26,7 +26,7 @@ from polylogic.pipeline import (
     verify_ji,
     verify_nerve,
 )
-from polylogic.poset import MonotoneMap, enumerate_posets, from_covers
+from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers
 from polylogic.simplicial import DefinableSet, build_complex
 
 
@@ -99,6 +99,61 @@ def test_verify_hneg_seeded():
 def test_verify_nerve_small():
     for p in enumerate_posets(3):
         assert verify_nerve(p).ok
+
+
+def test_verify_nerve_on_a_12_chain():
+    # 4 095 simplices: a face poset built face by face would visit 3**12 faces
+    names = [f"c{i}" for i in range(12)]
+    p = from_covers(names, list(zip(names, names[1:])))
+    assert len(realize(p)) == 4095
+    assert verify_nerve(p).ok
+
+
+def _failing(rep):
+    return [label for label, ok, _ in rep.entries if not ok]
+
+
+def test_verify_nerve_fails_on_a_realization_missing_a_chain(monkeypatch):
+    fork = from_covers(["r", "x", "y"], [("r", "x"), ("r", "y")])
+    real = pipeline._realize
+    rx = fork.mask_of(["r", "x"])
+    monkeypatch.setattr(pipeline, "_realize", lambda a, chains: real(a, [c for c in chains if c != rx]))
+    rep = verify_nerve(fork)
+    assert not rep.ok and "face poset of realization iso nerve" in _failing(rep)
+
+
+@pytest.mark.parametrize("edits", [
+    [("down", "ac", None, "b"), ("up", "b", None, "ac")],  # caught by the size of down(ac)
+    [("down", "ac", "a", "b")],  # by the down-set of the deletion a
+    [("up", "a", "ac", "c")],  # by the up-set of the coface ac
+    [("up", "a", None, "c")],  # by the pair counts of the rows
+], ids=["size", "down", "up", "pairs"])
+def test_verify_nerve_fails_on_a_face_poset_with_a_wrong_pair(monkeypatch, edits):
+    # each face poset keeps the max map monotone and fails one clause only
+    p = from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    real = pipeline._realize
+
+    def wrong(a, chains):
+        k = real(a, chains)
+        rows = {"up": list(k._face.up), "down": list(k._face.down)}
+        bit = {name: 1 << i for i, name in enumerate(k._face.elements)}
+        for row, at, drop, add in edits:
+            i = k._face.index[at]
+            rows[row][i] = rows[row][i] & ~bit.get(drop, 0) | bit.get(add, 0)
+        k._face = Poset(k._face.elements, rows["up"], _down=rows["down"])
+        return k
+
+    monkeypatch.setattr(pipeline, "_realize", wrong)
+    assert "face poset of realization iso nerve" in _failing(verify_nerve(p))
+
+
+def test_verify_nerve_fails_on_a_max_map_that_is_not_a_pmorphism(monkeypatch):
+    p = from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    # every simplex to the bottom: monotone, but up(a) is not the image of any up-set
+    monkeypatch.setattr(pipeline, "_max_map",
+                        lambda a, k: MonotoneMap(k.face_poset(), a, ("a",) * len(k)))
+    rep = verify_nerve(p)
+    assert _failing(rep) == ["max map is a p-morphism", "max map is surjective"]
 
 
 def test_report_lines_format():
