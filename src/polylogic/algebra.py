@@ -319,12 +319,17 @@ def up_of_pmorphism(f: MonotoneMap, cap: int = DEFAULT_UPSET_CAP):
     dict from Up(B) masks, enumerated under cap, to Up(A) masks (preimage).
 
     Preimage commutes with meet, join and complement, and U -> V is the
-    complement of down(U minus V): so -> is preserved iff each y in B has
-    f^-1(down y) = down f^-1(y), which is what is_pmorphism checks.
-    Injectivity is verified when f is surjective."""
+    complement of down(U minus V): so -> is preserved, as checked, iff each
+    y in B has f^-1(down y) = down f^-1(y). Injectivity is verified when f
+    is surjective."""
     ok, witness = is_pmorphism(f)
     if not ok:
         raise NotPMorphism(f"not a p-morphism, witness {witness}")
+    for y, down in enumerate(f.cod.down):
+        if f.preimage_mask(down) != f.dom.down_closure(f.preimage_mask(1 << y)):
+            name = f.cod.elements[y]
+            raise SoundnessError(f"dual map is not a Heyting homomorphism: f^-1(down {name}) "
+                                 f"is not down f^-1({name})")
     mapping = {u: f.preimage_mask(u) for u in FiniteHeyting(f.cod, cap).carrier}
     if f.is_surjective() and len(set(mapping.values())) != len(mapping):
         raise SoundnessError("dual map of a surjective p-morphism is not injective")

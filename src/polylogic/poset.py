@@ -55,6 +55,11 @@ class Poset:
         if _down is None:
             self._validate()
 
+    @classmethod
+    def _from_up(cls, elements, up_masks) -> "Poset":
+        """A trusted order given by its up-masks alone; its converse rows are transposed here."""
+        return cls(elements, up_masks, _down=_transpose(up_masks, len(up_masks)))
+
     def _validate(self):
         up, down = self.up, self.down
         for i, e in enumerate(self.elements):
@@ -138,14 +143,23 @@ class Poset:
             m &= m - 1
         return out
 
+    # -- depth ------------------------------------------------------------
+
     def depth(self) -> int:
-        """Longest chain cardinality minus one; -1 for the empty poset. A longest
-        chain loses one point each time the maximal points are peeled off."""
-        d, rest = -1, self.full_mask
-        while rest:
-            rest &= ~self.maximal_of(rest)
-            d += 1
-        return d
+        """Longest chain cardinality minus one; -1 for the empty poset."""
+        n = len(self.elements)
+        if n == 0:
+            return -1
+        memo = [0] * n
+        for i in sorted(range(n), key=lambda i: bin(self.up[i]).count("1")):
+            best = 0
+            m = self.up[i] & ~(1 << i)
+            while m:
+                j = (m & -m).bit_length() - 1
+                best = max(best, 1 + memo[j])
+                m &= m - 1
+            memo[i] = best
+        return max(memo)
 
     # -- up-set enumeration ----------------------------------------------
 
@@ -165,8 +179,9 @@ class Poset:
     # -- isomorphism ------------------------------------------------------
 
     def is_order_isomorphism(self, other: "Poset", mapping: dict[str, str]) -> bool:
-        """Check that the given element bijection preserves and reflects the
-        order: a bijection does so iff it is a p-morphism."""
+        """Check that the given element bijection preserves and reflects
+        the order (cheap alternative to canonical forms when a candidate
+        map is known): a bijection does so iff it is a p-morphism."""
         if sorted(mapping) != sorted(self.elements):
             return False
         if sorted(mapping.values()) != sorted(other.elements):
@@ -378,7 +393,7 @@ def enumerate_posets(n: int, max_depth: int | None = None):
             for form in levels[-1]:
                 for extended in _extensions(form, k):
                     if max_depth is not None:
-                        p = Poset(map(str, range(k)), extended, _down=_transpose(extended, k))
+                        p = Poset._from_up([f"t{i}" for i in range(k)], extended)
                         if p.depth() > max_depth:
                             continue
                     nxt.add(_canonical_form(extended, k))
@@ -386,14 +401,14 @@ def enumerate_posets(n: int, max_depth: int | None = None):
         level = levels[n - 1]
     names = [f"x{i + 1}" for i in range(n)]
     for form in level:
-        yield Poset(names, form, _down=_transpose(form, n))
+        yield Poset._from_up(names, form)
 
 
 def _extensions(up, k):
     """Extend a poset on k-1 elements (up-mask tuple) by a new maximal
     element, one extension per down-set: the elements below it."""
     m = k - 1
-    base = Poset([str(i) for i in range(m)], up, _down=_transpose(up, m))
+    base = Poset._from_up([str(i) for i in range(m)], up)
     for d_mask in (base.full_mask ^ upset for upset in base.all_upsets()):
         yield tuple(u | (d_mask >> i & 1) << m for i, u in enumerate(up)) + (1 << m,)
 

@@ -67,7 +67,7 @@ from polylogic.algebra import FiniteHeyting, _spectrum
 from polylogic.errors import CapExceeded, MissingAtom, ParseError
 from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, neg
 from polylogic.pipeline import Report
-from polylogic.poset import DEFAULT_UPSET_CAP, Poset, _canonical_form, _transpose, enumerate_posets
+from polylogic.poset import DEFAULT_UPSET_CAP, Poset, _canonical_form, enumerate_posets
 from polylogic.simplicial import build_complex
 
 
@@ -339,7 +339,7 @@ def all_extensions(up, k):
     """Extend a poset on k-1 elements (up-mask tuple) by a new element in
     every compatible way: below a down-set d, above an up-set u."""
     m = k - 1
-    base = Poset([str(i) for i in range(m)], up, _down=_transpose(up, m))
+    base = Poset._from_up([str(i) for i in range(m)], up)
     for d_mask in base.op().all_upsets():
         for u_mask in base.all_upsets():
             if d_mask & u_mask:
@@ -359,7 +359,7 @@ def enumerate_by_all_extensions(n, max_depth=None):
         for form in forms:
             for extended in all_extensions(form, k):
                 if max_depth is not None:
-                    p = Poset([f"t{i}" for i in range(k)], extended, _down=_transpose(extended, k))
+                    p = Poset._from_up([f"t{i}" for i in range(k)], extended)
                     if p.depth() > max_depth:
                         continue
                 nxt.add(_canonical_form(extended, k))

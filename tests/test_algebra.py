@@ -279,9 +279,9 @@ def test_up_of_pmorphism_is_injective_hom_for_surjections():
     assert len(images) == len(hq)
 
 
-def test_dual_map_check_raises_exactly_when_the_oracle_fails():
-    # over every monotone map between posets of at most 3 elements; the
-    # p-morphism gate is the per-point check f^-1(down y) = down f^-1(y)
+def test_dual_map_check_raises_exactly_when_the_oracle_fails(monkeypatch):
+    # over every monotone map between posets of at most 3 elements; then
+    # again with the p-morphism gate off, so the per-point check decides
     frames = [p for n in range(1, 4) for p in enumerate_posets(n)]
     maps = []
     for a, b in itertools.product(frames, repeat=2):
@@ -293,14 +293,17 @@ def test_dual_map_check_raises_exactly_when_the_oracle_fails():
     fails = [oracles.hom_failures({u: f.preimage_mask(u) for u in FiniteHeyting(f.cod).carrier},
                                   f.cod, f.dom) != [] for f in maps]
     assert any(fails) and not all(fails)
-    for f, fail in zip(maps, fails):
-        assert is_pmorphism(f)[0] != fail
-        try:
-            up_of_pmorphism(f)
-            raised = False
-        except (NotPMorphism, SoundnessError):
-            raised = True
-        assert raised == fail
+    assert [not is_pmorphism(f)[0] for f in maps] == fails
+    for gate in (True, False):
+        if not gate:
+            monkeypatch.setattr(algebra, "is_pmorphism", lambda f: (True, None))
+        for f, fail in zip(maps, fails):
+            try:
+                up_of_pmorphism(f)
+                raised = False
+            except (NotPMorphism, SoundnessError):
+                raised = True
+            assert raised == fail
 
 
 def test_valuation_from_json():
