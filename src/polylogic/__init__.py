@@ -9,7 +9,6 @@ opposite order; their co-implication is ``P.down_closure(c & ~d)``.
 
 from .algebra import (
     FiniteHeyting,
-    algebra_depth,
     eval_formula,
     is_valid,
     join_irreducibles,

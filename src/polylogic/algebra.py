@@ -25,7 +25,6 @@ from .errors import (
     MissingAtom,
     NotPMorphism,
     SoundnessError,
-    TrivialAlgebra,
 )
 from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
 from .poset import (DEFAULT_UPSET_CAP, MonotoneMap, Poset, _union, is_name_list, is_pmorphism,
@@ -41,7 +40,6 @@ __all__ = [
     "stone_map",
     "StoneReport",
     "up_of_pmorphism",
-    "algebra_depth",
     "valuation_from_json",
     "valuation_to_json",
 ]
@@ -334,13 +332,6 @@ def up_of_pmorphism(f: MonotoneMap, cap: int = DEFAULT_UPSET_CAP):
     if f.is_surjective() and len(set(mapping.values())) != len(mapping):
         raise SoundnessError("dual map of a surjective p-morphism is not injective")
     return mapping
-
-
-def algebra_depth(algebra) -> int:
-    """Longest chain of prime filters minus one; equals depth(spec)."""
-    if len(algebra) < 2:
-        raise TrivialAlgebra("algebra has no distinct top and bottom")
-    return spec(algebra).depth()
 
 
 # ---------------------------------------------------------------------------

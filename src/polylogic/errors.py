@@ -62,10 +62,6 @@ class NotPMorphism(PolylogicError):
     pass
 
 
-class TrivialAlgebra(PolylogicError):
-    pass
-
-
 class EmptyPoset(PolylogicError):
     pass
 

@@ -1,5 +1,5 @@
-"""Nerve of a finite poset, its canonical realization on standard basis
-vectors, the max-element p-morphism, and countermodel transfer."""
+"""Nerve of a finite poset, realized from its maximal chains on standard
+basis vectors, the max-element p-morphism, and countermodel transfer."""
 
 from __future__ import annotations
 
@@ -21,27 +21,27 @@ __all__ = [
 ]
 
 
-def _chains(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
-    """All nonempty chains as element masks, in ascending order of their
-    sorted index tuples: each chain is followed by its extensions by a larger
-    index comparable to every element of it. Raises CapExceeded before listing
-    more than cap chains, and MalformedInput on an element name holding ","."""
+def _maximal_chains(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
+    """The maximal chains as element masks: the paths from a minimal point up
+    through upper covers to a maximal point. Raises CapExceeded when a has more
+    than cap nonempty chains, and MalformedInput on an element name holding ","."""
     if len(a) == 0:
         raise EmptyPoset("the empty poset has no nonempty chains")
     _separator(a.elements)
     count = _chain_count(a)
     if count > cap:
         raise CapExceeded(count, f"more than {cap} chains, the enumeration cap")
-    out = []
-    stack = [(1 << i, a.up[i] | a.down[i], i) for i in reversed(range(len(a)))]
+    low, out = a.op(), []
+    stack = [(1 << x, x) for x in range(len(a)) if a.down[x] == 1 << x]
     while stack:
-        chain, comparable, last = stack.pop()
-        out.append(chain)
-        rest = comparable >> last + 1 << last + 1
-        while rest:  # push the extensions largest index first, so the smallest pops next
-            j = rest.bit_length() - 1
-            stack.append((chain | 1 << j, comparable & (a.up[j] | a.down[j]), j))
-            rest ^= 1 << j
+        chain, x = stack.pop()
+        covers = low.maximal_of(a.up[x] ^ 1 << x)  # the upper covers of x
+        if not covers:
+            out.append(chain)
+        while covers:
+            j = covers.bit_length() - 1
+            stack.append((chain | 1 << j, j))
+            covers ^= 1 << j
     return out
 
 
@@ -63,14 +63,14 @@ def nerve(a: Poset) -> Poset:
 def realize(a: Poset) -> Complex:
     """Geometric realization: element a_i sits at the i-th standard basis
     vector of R^n (n = |a|), one simplex per chain."""
-    return _realize(a, _chains(a))
+    return _realize(a, _maximal_chains(a))
 
 
-def _realize(a: Poset, chains: list[int]) -> Complex:
-    n, seen = len(a), set(chains)
+def _realize(a: Poset, maximal_chains: list[int]) -> Complex:
+    """The complex whose maximal simplices are these chains, on the basis vectors."""
+    n = len(a)
     vertices = {e: [str(int(i == j)) for j in range(n)] for i, e in enumerate(a.elements)}
-    maximal = [c for c in chains if not any(c | 1 << j in seen for j in range(n) if not c >> j & 1)]
-    return build_complex(vertices, [a.names_of(c) for c in maximal])
+    return build_complex(vertices, [a.names_of(c) for c in maximal_chains])
 
 
 def _max_map(a: Poset, k: Complex) -> MonotoneMap:

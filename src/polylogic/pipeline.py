@@ -14,16 +14,16 @@ from .algebra import (
     DEFAULT_BUDGET,
     FiniteHeyting,
     _spectrum,
-    algebra_depth,
     eval_formula,
     is_valid,
     join_irreducibles,
+    spec,
     stone_map,
     valuation_to_json,
 )
 from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, bd, pretty
-from .nerve import PolyhedralCountermodel, _chains, _max_map, _realize
+from .nerve import PolyhedralCountermodel, _chain_count, _max_map, _maximal_chains, _realize
 from .nerve import transfer_countermodel
 from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
 from .simplicial import Complex, DefinableSet, co_implication, sample_points
@@ -226,7 +226,7 @@ def verify_dim_bd(
     face = k.face_poset()
     h, depth = FiniteHeyting(face, cap), face.depth()
     rep.add(f"dim={d} equals face-poset depth", depth == d)
-    rep.add(f"longest prime-filter chain = {d + 1}", algebra_depth(h) == d)
+    rep.add(f"longest prime-filter chain = {d + 1}", spec(h).depth() == d)
     for e in (d, d - 1) if d else (d,):
         want = e == d  # BD_d valid, BD_(d-1) refuted
         try:
@@ -333,19 +333,20 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
 
 
 def verify_nerve(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> Report:
-    """The realization of a and its max map, read off one list of at most cap
-    chains. Its face poset is the chains under inclusion iff there are as many
-    simplices as chains, as many up pairs as down pairs, and each simplex s is a
-    chain whose rows hold s, with 2^|s| - 1 faces, and whose one-vertex deletions
-    t are simplices with down(t) <= down(s) and up(s) <= up(t) (induct on |s|)."""
+    """The realization of a and its max map, read off one list of the maximal
+    chains of a, which has at most cap chains. Its face poset is the chains
+    under inclusion iff there are as many simplices as chains, as many up pairs
+    as down pairs, and each simplex s is a chain whose rows hold s, with
+    2^|s| - 1 faces, and whose one-vertex deletions t are simplices with
+    down(t) <= down(s) and up(s) <= up(t) (induct on |s|)."""
     rep = Report("nerve")
-    chains = _chains(a, cap)
-    k = _realize(a, chains)
+    k = _realize(a, _maximal_chains(a, cap))
     rep.add(f"depth(A)={a.depth()} equals dim(realize(A))", k.dim() == a.depth())
     face = k.face_poset()
     bad = next((i for i in range(len(k)) if not _is_chain_face(a, k, i)), None)
     pairs = sum(map(int.bit_count, face.up)) == sum(map(int.bit_count, face.down))
-    rep.add("face poset of realization iso nerve", len(k) == len(chains) and pairs and bad is None,
+    rep.add("face poset of realization iso nerve",
+            len(k) == _chain_count(a) and pairs and bad is None,
             "" if bad is None else f"first failing simplex {face.elements[bad]}")
     pm = _max_map(a, k)
     ok, witness = is_pmorphism(pm)

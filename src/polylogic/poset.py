@@ -143,23 +143,10 @@ class Poset:
             m &= m - 1
         return out
 
-    # -- depth ------------------------------------------------------------
-
     def depth(self) -> int:
-        """Longest chain cardinality minus one; -1 for the empty poset."""
-        n = len(self.elements)
-        if n == 0:
-            return -1
-        memo = [0] * n
-        for i in sorted(range(n), key=lambda i: bin(self.up[i]).count("1")):
-            best = 0
-            m = self.up[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                best = max(best, 1 + memo[j])
-                m &= m - 1
-            memo[i] = best
-        return max(memo)
+        """Longest chain cardinality minus one, -1 for the empty poset: one
+        less than the number of times the maximal points can be peeled off."""
+        return _depth(self.up)
 
     # -- up-set enumeration ----------------------------------------------
 
@@ -202,6 +189,16 @@ def _union(rows, mask: int) -> int:
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _depth(up) -> int:
+    """The depth of the order with these up-masks: each pass removes the points
+    of rest with nothing else of rest above them, the maximal points of rest."""
+    rest, depth = (1 << len(up)) - 1, -1
+    while rest:
+        rest ^= sum(1 << i for i, u in enumerate(up) if u & rest == 1 << i)
+        depth += 1
+    return depth
 
 
 def _transpose(rows, n: int) -> list[int]:
@@ -392,11 +389,8 @@ def enumerate_posets(n: int, max_depth: int | None = None):
             nxt = set()
             for form in levels[-1]:
                 for extended in _extensions(form, k):
-                    if max_depth is not None:
-                        p = Poset._from_up([f"t{i}" for i in range(k)], extended)
-                        if p.depth() > max_depth:
-                            continue
-                    nxt.add(_canonical_form(extended, k))
+                    if max_depth is None or _depth(extended) <= max_depth:
+                        nxt.add(_canonical_form(extended, k))
             levels.append(tuple(sorted(nxt)))
         level = levels[n - 1]
     names = [f"x{i + 1}" for i in range(n)]

@@ -184,9 +184,7 @@ class Complex:
         return [self.vertices[v] for v in key]
 
     def dim(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.simplices[-1]) - 1 if self.simplices else -1  # sorted by size
 
     def face_poset(self) -> Poset:
         """Simplices ordered by inclusion, element i being simplices[i]."""
@@ -336,7 +334,7 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
             raise DuplicateVertex(f"repeated vertex in simplex {raw}")
         for v in ids:
             if v not in verts:
-                raise DuplicateVertex(f"simplex references unknown vertex {v!r}")
+                raise MalformedInput(f"simplex references unknown vertex {v!r}")
         if not affinely_independent([verts[v] for v in ids]):
             raise AffinelyDependent(ids)
         simplices.update(tuple(v for b, v in enumerate(ids) if mask >> b & 1)

@@ -10,7 +10,6 @@ from polylogic import algebra, pipeline
 from polylogic.algebra import (
     FiniteHeyting,
     _cover_failures,
-    algebra_depth,
     eval_formula,
     is_valid,
     join_irreducibles,
@@ -28,7 +27,6 @@ from polylogic.errors import (
     NotMonotone,
     NotPMorphism,
     SoundnessError,
-    TrivialAlgebra,
 )
 from polylogic.formula import bd, parse
 from polylogic.pipeline import verify_esakia
@@ -256,10 +254,9 @@ def test_inner_algebras_take_the_callers_cap():
 
 
 def test_algebra_depth():
-    assert algebra_depth(FiniteHeyting(chain(3))) == 2
-    assert algebra_depth(FiniteHeyting(fork())) == 1
-    with pytest.raises(TrivialAlgebra):
-        algebra_depth(FiniteHeyting(Poset((), ())))
+    # the longest prime-filter chain of Up(P) is the depth of P
+    assert spec(FiniteHeyting(chain(3))).depth() == 2
+    assert spec(FiniteHeyting(fork())).depth() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import polylogic
 from polylogic.cli import main
 from polylogic.corpus import write_corpus
+from polylogic.errors import MalformedInput
 from polylogic.formula import atoms, parse
+from polylogic.simplicial import build_complex
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +449,15 @@ def test_complex_refuses_a_vertex_id_holding_a_comma(capsys, tmp_path):
         assert code == 2 and err.count("\n") == 1 and "'a,b'" in err
 
 
+def test_complex_naming_an_unknown_vertex_is_malformed_input(capsys, tmp_path):
+    with pytest.raises(MalformedInput):
+        build_complex({"a": ["0"], "b": ["1"]}, [["a", "c"]])
+    path = _write(tmp_path / "unknown.complex.json",
+                  '{"vertices": {"a": ["0"], "b": ["1"]}, "maximal": [["a", "c"]]}')
+    code, out, err = run(capsys, "complex", "build", str(path))
+    assert (code, out, err) == (2, "", "error: simplex references unknown vertex 'c'\n")
+
+
 def test_complex_text_quotes_a_simplex_name_that_holds_a_space(capsys, tmp_path):
     # "a b", "c" and "a b,c" are three simplices, not the ids a, b, c and a b,c
     path = _write(tmp_path / "space.complex.json",
@@ -524,3 +535,117 @@ def test_import_leaves_numpy_out():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "False"
+
+
+# The CLI property gate: every subcommand and option, with bound values, on
+# small generated files whose names may be empty or hold ,{}"| spaces or
+# non-ASCII text. File arguments are placeholders until the files exist.
+_NAMES = st.sampled_from("abcde") | st.text(st.sampled_from('ab,{}"| é∧'), max_size=3)
+_FORMULAS = st.sampled_from(["p", "p | ~p", "p -> q", "(p -> q) | (q -> p)", "~~p -> p",
+                             "p1 | (p1 -> (p0 | ~p0))", "true", "false", "", "p &", "a | b"])
+_COUNTS = {"--budget": ["0", "1", "10", "1000", "-1"], "--cap": ["0", "1", "3", "30", "x"],
+           "--depth": ["0", "1", "2", "-1"], "--max-size": ["0", "1", "2", "3"],
+           "--seed": ["0", "7"], "--trials": ["1", "2", "0"]}
+
+
+@st.composite
+def _poset_docs(draw):
+    elements = draw(st.lists(_NAMES, max_size=4, unique=True))
+    pairs = [(a, b) for i, a in enumerate(elements) for b in elements[i + 1:]]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    covers += draw(st.sampled_from([[], [], [("?", "a")], [(b, a) for a, b in covers[:1]]]))
+    return {"elements": draw(st.permutations(elements)), "covers": covers}
+
+
+@st.composite
+def _complex_docs(draw):
+    ids = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    coordinate = st.sampled_from(["0", "1", "-1", "1/2", "2"])
+    dim = draw(st.integers(0, 3))
+    vertices = {v: draw(st.lists(coordinate, min_size=dim, max_size=dim)) for v in ids}
+    maximal = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True),
+                            max_size=3))
+    maximal += draw(st.sampled_from([[], [], [["?"]], maximal[:1]]))
+    return {"vertices": vertices, "maximal": maximal}
+
+
+@st.composite
+def _cli_cases(draw):
+    """(poset, complex, valuation, argv) with POSET, COMPLEX, VALUATION, CORPUS
+    and OUT in argv standing for the files and directories written from them."""
+    poset, cx = draw(_poset_docs()), draw(_complex_docs())
+    subset = st.lists(st.sampled_from(poset["elements"] + ["?"]), max_size=3, unique=True)
+    valuation = draw(st.dictionaries(st.sampled_from(["p", "q", "p0"]), subset, max_size=2))
+    command = draw(st.sampled_from(["frame", "complex", "suite", "nerve", "poset",
+                                    "counter", "corpus", "formula"]))
+    options = {
+        "formula": [],
+        "poset": ["--cap"],
+        "frame": ["--json", "--budget", "--cap", "--valuation"],
+        "complex": ["--json"],
+        "nerve": ["--export", "-o"],
+        "counter": ["--depth", "--max-size", "--polyhedral", "--expect", "--budget"],
+        "suite": ["--json", "--budget", "--cap", "--seed", "--trials"],
+        "corpus": [],
+    }[command]
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    if command == "formula":
+        action = draw(st.sampled_from(["parse", "print", "bd"]))
+        argv += [action, draw(st.sampled_from(["0", "1", "3", "-1", "x"]) if action == "bd"
+                              else _FORMULAS)]
+    elif command == "poset":
+        argv += [draw(st.sampled_from(["depth", "upsets"])), "POSET"]
+    elif command == "frame":
+        argv += ["check", draw(_FORMULAS), "POSET"]
+    elif command == "complex":
+        action = draw(st.sampled_from(["build", "verify", "dim", "faceposet", "star", "carrier"]))
+        argv.append(action)
+        if action == "star" and draw(st.booleans()):
+            argv.append(draw(st.sampled_from(list(cx["vertices"])) | _NAMES))
+        elif action == "carrier" and draw(st.booleans()):
+            argv.append(draw(st.sampled_from(["0", "0,0", "1/2,1/2", "1/3,1/3", "x", ""])))
+        argv.append("COMPLEX")
+    elif command == "nerve":
+        argv += ["realize", "POSET"]
+    elif command == "counter":
+        argv.append(draw(_FORMULAS))
+    elif command == "suite":
+        argv += [draw(st.sampled_from(["esakia", "dimbd", "ji", "hneg", "nerve"])), "--corpus",
+                 "CORPUS"]
+    else:
+        argv.append(draw(st.sampled_from(["OUT", "POSET"])))
+    for option in draw(st.lists(st.sampled_from(options), unique=True)) if options else []:
+        values = {"--valuation": ["VALUATION"], "--export": ["off", "json"], "-o": ["OUT"],
+                  "--expect": ["refuted", "none"]}.get(option, _COUNTS.get(option))
+        argv += [option] + ([draw(st.sampled_from(values))] if values else [])
+    return poset, cx, valuation, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_cases())
+def test_every_cli_input_exits_0_1_or_2(case):
+    poset, cx, valuation, argv = case
+    with tempfile.TemporaryDirectory() as d:
+        corpus = os.path.join(d, "corpus")
+        os.mkdir(corpus)
+        paths = {"POSET": os.path.join(corpus, "frame.json"),
+                 "COMPLEX": os.path.join(corpus, "k.complex.json"),
+                 "VALUATION": os.path.join(d, "v.json"), "CORPUS": corpus,
+                 "OUT": os.path.join(d, "out")}
+        for key, doc in (("POSET", poset), ("COMPLEX", cx), ("VALUATION", valuation)):
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, ensure_ascii=False)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([paths.get(a, a) for a in argv])
+            except SystemExit as e:  # an argparse usage error prints its usage lines too
+                assert e.code == 2 and "usage" in err.getvalue()
+                return
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

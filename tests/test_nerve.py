@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from polylogic.corpus import corpus_complexes
 from polylogic.errors import EmptyPoset, NotACountermodel
 from polylogic.formula import bd, parse
 from polylogic.nerve import max_pmorphism, nerve, realize, transfer_countermodel
@@ -50,6 +51,15 @@ def test_realize_on_standard_basis():
     coords = set(k.vertices.values())
     assert len(coords) == len(p)
     assert all(sum(c) == 1 and set(c) <= {0, 1} for c in coords)
+
+
+def test_face_poset_depth_is_the_dimension():
+    complexes = list(corpus_complexes().values())
+    complexes += [realize(p) for n in range(1, 6) for p in enumerate_posets(n)]
+    complexes.append(realize(chain(12)))
+    assert len(complexes[-1]) == 4095
+    for k in complexes:
+        assert k.face_poset().depth() == k.dim() == max(map(len, k.simplices)) - 1
 
 
 def test_realize_face_poset_matches_nerve():

@@ -194,9 +194,9 @@ def brute_depth(p):
 
 
 def test_depth_against_path_oracle():
-    for n in range(1, 5):
-        for p in enumerate_posets(n):
-            assert p.depth() == brute_depth(p)
+    for p in [Poset((), ())] + [p for n in range(1, 6) for p in enumerate_posets(n)]:
+        for q in (p, p.op()):
+            assert q.depth() == brute_depth(q)
     assert chain(4).depth() == 3
     assert fork().depth() == 1
 
