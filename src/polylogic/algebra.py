@@ -27,8 +27,8 @@ from .errors import (
     SoundnessError,
 )
 from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
-from .poset import (DEFAULT_UPSET_CAP, MonotoneMap, Poset, _union, is_name_list, is_pmorphism,
-                    json_object)
+from .poset import (DEFAULT_UPSET_CAP, MonotoneMap, Poset, _cover_rows, _union, is_name_list,
+                    is_pmorphism, json_object)
 
 __all__ = [
     "FiniteHeyting",
@@ -243,10 +243,9 @@ def join_irreducibles(algebra: FiniteHeyting) -> list[int]:
     x is minimal in carrier[v]; ORs of these seen once and seen twice leave
     the answer in once & ~twice.
     """
-    frame, cols = algebra.frame, algebra.tables()
+    cols = algebra.tables()
     once = twice = 0
-    for x, col in enumerate(cols):
-        covers = frame.maximal_of(frame.down[x] & ~(1 << x))  # the lower covers of x
+    for col, covers in zip(cols, _cover_rows(algebra.frame.down)):
         col &= ~_union(cols, covers)
         twice |= once & col
         once |= col

@@ -9,7 +9,7 @@ from . import poset
 from .algebra import eval_formula, valuation_to_json
 from .errors import CapExceeded, EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
-from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset
+from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, _cover_rows
 from .simplicial import Complex, DefinableSet, _separator, build_complex, complex_to_json
 
 __all__ = [
@@ -31,11 +31,11 @@ def _maximal_chains(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
     count = _chain_count(a)
     if count > cap:
         raise CapExceeded(count, f"more than {cap} chains, the enumeration cap")
-    low, out = a.op(), []
+    upper, out = _cover_rows(a.up), []
     stack = [(1 << x, x) for x in range(len(a)) if a.down[x] == 1 << x]
     while stack:
         chain, x = stack.pop()
-        covers = low.maximal_of(a.up[x] ^ 1 << x)  # the upper covers of x
+        covers = upper[x]
         if not covers:
             out.append(chain)
         while covers:

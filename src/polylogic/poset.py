@@ -121,17 +121,14 @@ class Poset:
         return self.down_closure(mask) == mask
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse covers (a, b) with a < b, in canonical order: the upper covers
-        of a are the points strictly above a and strictly above nothing that is."""
-        strict = [u & ~(1 << i) for i, u in enumerate(self.up)]
+        """Hasse covers (a, b) with a < b, in canonical order."""
         out = []
-        for i in reversed(range(len(strict))):
-            m = strict[i] & ~_union(strict, strict[i])
-            while m:  # highest bit first; the list is reversed at the end
-                j = m.bit_length() - 1
-                out.append((self.elements[i], self.elements[j]))
-                m ^= 1 << j
-        return out[::-1]
+        for a, row in zip(self.elements, _cover_rows(self.up)):
+            while row:
+                low = row & -row
+                out.append((a, self.elements[low.bit_length() - 1]))
+                row ^= low
+        return out
 
     def maximal_of(self, mask: int) -> int:
         out = 0
@@ -201,6 +198,13 @@ def _depth(up) -> int:
     return depth
 
 
+def _cover_rows(rows) -> list[int]:
+    """The cover rows of the order with these rows: row i minus i and minus all
+    that the rest of row i reaches. Up rows give upper covers, down rows lower."""
+    strict = [row ^ 1 << i for i, row in enumerate(rows)]
+    return [row & ~_union(strict, row) for row in strict]
+
+
 def _transpose(rows, n: int) -> list[int]:
     """The n rows of the converse relation: bit i of row j iff bit j of rows[i]."""
     out = [0] * n
@@ -214,44 +218,39 @@ def _transpose(rows, n: int) -> list[int]:
 
 
 def from_covers(elements, covers) -> Poset:
-    """Poset from Hasse covers; leq is the reflexive-transitive closure."""
+    """Poset from Hasse covers; leq is the reflexive-transitive closure, taken in
+    one depth-first walk: a point's up-mask is its bit OR its successors', set on
+    leaving it. A step onto the walk raises CycleError naming the walk from there."""
     elements = tuple(elements)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     succ = [0] * n
     for a, b in covers:
-        if a not in index:
-            raise UnknownElement(a)
-        if b not in index:
-            raise UnknownElement(b)
+        if a not in index or b not in index:
+            raise UnknownElement(a if a not in index else b)
         if a != b:
             succ[index[a]] |= 1 << index[b]
-    up, closed = None, [1 << i | s for i, s in enumerate(succ)]
-    while closed != up:  # each pass at least doubles the length of the paths covered
-        up, closed = closed, [_union(closed, u) for u in closed]
-    down = _transpose(up, n)
-    for i in range(n):
-        if up[i] & down[i] != 1 << i:
-            raise CycleError(_witness_cycle(succ, i, elements))
-    return Poset(elements, up, _down=down)
-
-
-def _witness_cycle(succ, i, elements):
-    # Breadth first from i through the cover digraph until it is back at i.
-    prev, queue = {}, [i]
-    for x in queue:
-        m = succ[x]
-        while m and i not in prev:
-            y = (m & -m).bit_length() - 1
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-            m &= m - 1
-    cycle, x = [i], prev[i]
-    while x != i:
-        cycle.append(x)
-        x = prev[x]
-    return [elements[k] for k in reversed(cycle + [i])]
+    up = [0] * n  # nonzero once the walk has left the point
+    for root in range(n):
+        if up[root]:
+            continue
+        walk, todo, on_walk = [root], [succ[root]], 1 << root
+        while walk:
+            low = todo[-1] & -todo[-1]
+            if not low:
+                x, _ = walk.pop(), todo.pop()
+                up[x] = 1 << x | _union(up, succ[x])
+                on_walk ^= 1 << x
+                continue
+            todo[-1] ^= low
+            y = low.bit_length() - 1
+            if on_walk & low:
+                raise CycleError([elements[k] for k in walk[walk.index(y):] + [y]])
+            if not up[y]:
+                walk.append(y)
+                todo.append(succ[y])
+                on_walk |= low
+    return Poset._from_up(elements, up)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def json_object(data, *keys) -> dict:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
             raise MalformedInput(f"invalid JSON: {e}") from None
     if not isinstance(data, dict) or not set(keys) <= data.keys():
         raise MalformedInput("expected a JSON object" + "".join(f' with "{k}"' for k in keys))

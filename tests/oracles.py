@@ -832,3 +832,12 @@ def reachable(elements, covers) -> list[int]:
                     stack.append(b)
         out.append(sum(1 << index[e] for e in seen))
     return out
+
+
+def covers(rows) -> list[int]:
+    """Bit j of entry i iff j is in row i, j != i, and no third k is in row i
+    with j in row k: the upper covers from up rows, the lower from down rows."""
+    n = len(rows)
+    return [sum(1 << j for j in range(n) if j != i and row >> j & 1 and not any(
+        row >> k & 1 and rows[k] >> j & 1 for k in range(n) if k not in (i, j)))
+        for i, row in enumerate(rows)]

@@ -347,6 +347,29 @@ def test_os_encoding_and_corpus_errors_exit_2_with_one_line(capsys, tmp_path, ca
         assert "bad." in err or not any(corpus.iterdir())  # a bad corpus file is named
 
 
+DEEP_JSON = {"array-100000": "[" * 100_000 + "]" * 100_000,
+             "object-50000": '{"a": ' * 50_000 + "1" + "}" * 50_000}
+
+
+@pytest.mark.parametrize("deep", sorted(DEEP_JSON))
+@pytest.mark.parametrize("entry", ["poset depth", "complex build", "frame check --valuation",
+                                   "suite esakia --corpus"])
+def test_json_nested_too_deep_exits_2_with_one_line(capsys, tmp_path, entry, deep):
+    chain2 = _write(tmp_path / "chain2.json", '{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    f = _write(corpus / "deep.json", DEEP_JSON[deep])
+    argv = {
+        "poset depth": ["poset", "depth", str(f)],
+        "complex build": ["complex", "build", str(f)],
+        "frame check --valuation": ["frame", "check", "p", str(chain2), "--valuation", str(f)],
+        "suite esakia --corpus": ["suite", "esakia", "--corpus", str(corpus)],
+    }[entry]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_write_corpus_reproduces_the_checked_in_corpus(corpus_dir):
     shipped = Path(__file__).resolve().parents[1] / "corpus"
     names = sorted(p.name for p in shipped.iterdir())
@@ -571,8 +594,9 @@ def _complex_docs(draw):
 
 @st.composite
 def _cli_cases(draw):
-    """(poset, complex, valuation, argv) with POSET, COMPLEX, VALUATION, CORPUS
-    and OUT in argv standing for the files and directories written from them."""
+    """(poset, complex, valuation, argv, deep) with POSET, COMPLEX, VALUATION,
+    CORPUS and OUT in argv standing for the files and directories written from
+    them, and deep None or the file to overwrite with JSON nested too deep."""
     poset, cx = draw(_poset_docs()), draw(_complex_docs())
     subset = st.lists(st.sampled_from(poset["elements"] + ["?"]), max_size=3, unique=True)
     valuation = draw(st.dictionaries(st.sampled_from(["p", "q", "p0"]), subset, max_size=2))
@@ -619,13 +643,14 @@ def _cli_cases(draw):
         values = {"--valuation": ["VALUATION"], "--export": ["off", "json"], "-o": ["OUT"],
                   "--expect": ["refuted", "none"]}.get(option, _COUNTS.get(option))
         argv += [option] + ([draw(st.sampled_from(values))] if values else [])
-    return poset, cx, valuation, argv
+    deep = draw(st.sampled_from([None] * 6 + ["POSET", "COMPLEX", "VALUATION"]))
+    return poset, cx, valuation, argv, deep
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cli_cases())
 def test_every_cli_input_exits_0_1_or_2(case):
-    poset, cx, valuation, argv = case
+    poset, cx, valuation, argv, deep = case
     with tempfile.TemporaryDirectory() as d:
         corpus = os.path.join(d, "corpus")
         os.mkdir(corpus)
@@ -636,6 +661,9 @@ def test_every_cli_input_exits_0_1_or_2(case):
         for key, doc in (("POSET", poset), ("COMPLEX", cx), ("VALUATION", valuation)):
             with open(paths[key], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, ensure_ascii=False)
+        if deep:
+            with open(paths[deep], "w", encoding="utf-8") as fh:
+                fh.write(DEEP_JSON["array-100000"])
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:

@@ -76,3 +76,20 @@ def test_the_check_finds_direct_mutual_method_and_cross_module_recursion():
     assert recursive_functions(sources) == [
         "a.atom", "a.even", "a.fact", "a.form", "a.odd", "b.ping", "c.pong",
     ]
+
+
+def test_json_is_decoded_only_in_json_object():
+    """json.load and json.loads are named only in poset.json_object, which maps
+    JSON nested deeper than the decoder's recursion limit to MalformedInput."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(f"{path.stem}: from json import")
+            elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(owner.get(id(node), path.stem))
+    assert found == ["poset.json_object"]

@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import enumerate_by_all_extensions, is_isomorphic, minimal_of
 
-from polylogic import poset
+from polylogic import corpus, poset
 from polylogic.errors import CapExceeded, CycleError, MalformedInput, NotMonotone, UnknownElement
 from polylogic.formula import parse
 from polylogic.nerve import max_pmorphism
@@ -77,21 +79,70 @@ def random_dag(seed):
     return rng.sample(hidden, n), covers
 
 
+def random_digraph(seed):
+    """Elements in a shuffled order, pairs drawn in both directions: 21 of
+    seeds 0-39 give a list with a cycle."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 12)
+    names = [f"v{i}" for i in range(n)]
+    density = rng.choice([0.1, 0.2, 0.4])
+    covers = [[a, b] for a in names for b in names if a != b and rng.random() < density]
+    return rng.sample(names, n), covers
+
+
 CHAIN_300 = [f"c{i}" for i in range(300)]
+CHAIN_300_COVERS = [[a, b] for a, b in zip(CHAIN_300, CHAIN_300[1:])]
 
 
 @pytest.mark.parametrize("elements, covers", [
     *(pytest.param(*random_dag(seed), id=f"dag-{seed}") for seed in range(40)),
-    pytest.param(CHAIN_300, [[a, b] for a, b in zip(CHAIN_300, CHAIN_300[1:])], id="chain-300"),
-    pytest.param(CHAIN_300[::-1], [[a, b] for a, b in zip(CHAIN_300, CHAIN_300[1:])],
-                 id="chain-300-listed-top-down"),
+    *(pytest.param(*random_digraph(seed), id=f"digraph-{seed}") for seed in range(40)),
+    pytest.param(CHAIN_300, CHAIN_300_COVERS, id="chain-300"),
+    pytest.param(CHAIN_300[::-1], CHAIN_300_COVERS, id="chain-300-listed-top-down"),
     pytest.param([f"a{i}" for i in range(300)], [], id="antichain-300"),
 ])
 def test_from_covers_closure_matches_reachability(elements, covers):
+    reach = oracles.reachable(elements, covers)
+    if any(r >> j & 1 and reach[j] >> i & 1 for i, r in enumerate(reach) for j in range(i)):
+        with pytest.raises(CycleError) as exc:  # two distinct elements reach each other
+            from_covers(elements, covers)
+        cyc = exc.value.cycle
+        assert cyc[0] == cyc[-1] and len(cyc) >= 3
+        assert all([x, y] in covers for x, y in zip(cyc, cyc[1:]))  # every step is a cover
+        return
     p = from_covers(elements, covers)
-    assert list(p.up) == oracles.reachable(elements, covers)
+    assert list(p.up) == reach
     assert list(p.down) == [sum(1 << i for i, u in enumerate(p.up) if u >> j & 1)
                             for j in range(len(p))]
+
+
+@pytest.mark.parametrize("elements", [
+    pytest.param(CHAIN_300, id="chain-300"),
+    pytest.param(CHAIN_300[::-1], id="chain-300-listed-top-down"),
+])
+def test_from_covers_closes_in_one_pass(elements, monkeypatch):
+    """Each element's up-mask is one OR over its successors' finished masks."""
+    calls = []
+    union = poset._union
+    monkeypatch.setattr(poset, "_union", lambda rows, mask: calls.append(mask) or union(rows, mask))
+    assert from_covers(elements, CHAIN_300_COVERS).depth() == 299
+    assert len(calls) <= len(elements)
+
+
+def test_cover_rows_match_the_brute_force_oracle():
+    orders = corpus.corpus_posets() + [k.face_poset() for k in corpus.corpus_complexes().values()]
+    assert len(orders) == 94
+    for p in orders:
+        for q in (p, p.op()):  # the down rows of p are the up rows of p.op()
+            assert poset._cover_rows(q.up) == oracles.covers(q.up)
+
+
+def test_bundled_posets_read_and_write_back_byte_identical():
+    files = sorted((Path(__file__).resolve().parents[1] / "corpus").glob("poset*.json"))
+    assert len(files) == 87
+    for path in files:
+        text = path.read_text()
+        assert json.dumps(poset_to_json(poset_from_json(text)), indent=1) + "\n" == text, path.name
 
 
 @pytest.mark.parametrize("up, message", [
