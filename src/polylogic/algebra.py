@@ -1,8 +1,8 @@
 """Finite Heyting algebras of up-sets.
 
 The lower sets Lo(P) of a frame are handled as the up-sets Up(P.op()) of
-the opposite order, and the co-implication C <= D of Lo(P) is
-``P.down_closure(C & ~D)``.
+the opposite order, read off Up(P) by ``FiniteHeyting.op``, and the
+co-implication C <= D of Lo(P) is ``P.down_closure(C & ~D)``.
 
 Carriers are sorted lists of bitmasks over the base frame's canonical
 element order, so the canonical enumeration order is ascending integers
@@ -15,7 +15,7 @@ whose bit b is its value under the b-th valuation of a block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
@@ -38,7 +38,6 @@ __all__ = [
     "join_irreducibles",
     "spec",
     "stone_map",
-    "StoneReport",
     "up_of_pmorphism",
     "valuation_from_json",
     "valuation_to_json",
@@ -61,6 +60,14 @@ class FiniteHeyting:
 
     def __len__(self):
         return len(self.carrier)
+
+    def op(self) -> "FiniteHeyting":
+        """Up(frame.op()), Lo(frame), read off this algebra: the carrier's complements
+        in reverse order, and the columns complemented and bit-reversed."""
+        out, full, m = object.__new__(FiniteHeyting), self.frame.full_mask, len(self.carrier)
+        out.frame, out.carrier = self.frame.op(), [full ^ u for u in reversed(self.carrier)]
+        out._tables = [int(f"{col ^ (1 << m) - 1:0{m}b}"[::-1], 2) for col in self.tables()]
+        return out
 
     def tables(self) -> list[int]:
         """Membership columns, built once: bit v of column i is set iff point
@@ -264,51 +271,45 @@ def spec(algebra) -> Poset:
 
 
 def _spectrum(frame: Poset, jis: list[int]) -> Poset:
-    # F_{j_i} <= F_{j_k} iff j_k <= j_i; j's element list in JSON names F_j injectively
-    names = [json.dumps(frame.names_of(j)) for j in jis]
-    return Poset(names, [sum(1 << k for k, jk in enumerate(jis) if jk & ~ji == 0) for ji in jis])
+    # F_{j_i} <= F_{j_k} iff j_k <= j_i
+    ups = [sum(1 << k for k, jk in enumerate(jis) if jk & ~ji == 0) for ji in jis]
+    return Poset(_filter_names(frame, jis), ups)
 
 
-@dataclass
-class StoneReport:
-    bijective: bool
-    homomorphism: bool  # monotone both ways on covers; checked only for a bijection
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return self.bijective and self.homomorphism
+def _filter_names(frame: Poset, jis) -> list[str]:
+    """The names of the prime filters F_j: j's element list in JSON, injectively."""
+    return [json.dumps(frame.names_of(j)) for j in jis]
 
 
 def _cover_failures(mapping: dict[int, int], src: Poset, dst: Poset) -> list:
-    """Each cover u < u + x of Up(src) (x outside u, up(x) minus x inside u)
-    that the bijection mapping sends out of order, then each of Up(dst) that
-    its inverse does, as (side, u, x). A bijection of finite lattices that is
-    monotone both ways on covers is an order, so a lattice and a Heyting,
+    """Each cover step u < u + x of Up(src) (x outside u, up(x) minus x inside
+    u) that mapping, from Up(src) into Up(dst), sends out of order or out of
+    its domain, then each of Up(dst) that its inverse does, as (side, u, x),
+    then "not injective" and "{} not sent to {}" where they hold. Cover steps
+    reach every up-set from {}, so with none of these the map is onto; and
+    monotone both ways on covers, it is an order, so a lattice and a Heyting,
     isomorphism (Davey & Priestley, Introduction to Lattices and Order)."""
     inverse = {v: u for u, v in mapping.items()}
     out = []
     for side, f, p in (("Up(A)", mapping, src), ("Up(Spec)", inverse, dst)):
-        for x in range(len(p)):
-            bit, above = 1 << x, p.up[x] & ~(1 << x)
-            out += [(side, u, x) for u, fu in f.items()
-                    if u & (above | bit) == above and fu & ~f[u | bit]]
-    return out
+        for x, up in enumerate(p.up):  # u & up == above: x outside u, up(x) minus x inside u
+            bit, above = 1 << x, up ^ 1 << x
+            out += [(side, u, x) for u, fu in f.items() if u & up == above
+                    and ((fv := f.get(u | bit)) is None or fu & ~fv)]
+    return out + [why for why, bad in (("not injective", len(inverse) < len(mapping)),
+                                       ("{} not sent to {}", mapping.get(0) != 0)) if bad]
 
 
-def stone_map(h: FiniteHeyting, cap: int = DEFAULT_UPSET_CAP):
-    """The map u -> {prime filters containing u}, as a dict from carrier
-    masks of h to up-set masks of spec(h), plus a verification report
-    that it is a bijection onto Up(spec(h)), enumerated under cap, and
-    monotone both ways on covers: a Heyting isomorphism."""
+def stone_map(h: FiniteHeyting):
+    """The map u -> {prime filters containing u}, an up-set of spec(h), as a
+    dict from carrier masks of h, with spec(h) and the failures of its cover
+    check: none iff it is a bijection onto Up(spec(h)), monotone both ways, a
+    Heyting isomorphism. Up(spec(h)) is not enumerated."""
     jis = join_irreducibles(h)
     sp = _spectrum(h.frame, jis)
     # j <= u iff u is in the filter generated by j
     mapping = {u: sum(1 << k for k, j in enumerate(jis) if j & ~u == 0) for u in h.carrier}
-    bijective = sorted(mapping.values()) == FiniteHeyting(sp, cap).carrier
-    failures = (_cover_failures(mapping, h.frame, sp) if bijective
-                else ["image is not all of Up(Spec H)"])
-    return mapping, sp, StoneReport(bijective, not failures, failures)
+    return mapping, sp, _cover_failures(mapping, h.frame, sp)
 
 
 def up_of_pmorphism(f: MonotoneMap, cap: int = DEFAULT_UPSET_CAP):

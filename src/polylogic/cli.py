@@ -102,11 +102,12 @@ def cmd_frame(args) -> int:
         mask = eval_formula(frame, v, f)
         top = mask == frame.full_mask
         _emit(args, {"value": frame.names_of(mask), "top": top},
-              "TOP" if top else "value: " + _set_text(frame.names_of(mask)))
+              ("TOP = " if top else "value: ") + _set_text(frame.names_of(mask)))
         return 0 if top else 1
     res = is_valid(frame, f, budget=args.budget, cap=args.cap)
     if res.valid:
-        _emit(args, {"status": "Valid", "checked": res.checked}, "Valid")
+        _emit(args, {"status": "Valid", "checked": res.checked},
+              f"Valid, {res.checked} valuations checked")
         return 0
     val = valuation_to_json(frame, res.valuation)
     _emit(args, {"status": "Refuted", "valuation": val},
@@ -117,8 +118,11 @@ def cmd_frame(args) -> int:
 def cmd_complex(args) -> int:
     k = complex_from_json(read_text(args.file))
     if args.action == "build":
+        points = (f"{_simplex_text(v)}=({','.join(map(str, k.vertices[v]))})"
+                  for v in sorted(k.vertices))
         _emit(args, complex_to_json(k),
-              f"{len(k)} simplices: " + " ".join(_simplex_text(k.name(s)) for s in k.simplices))
+              f"{len(k)} simplices: " + " ".join(_simplex_text(k.name(s)) for s in k.simplices)
+              + "\nvertices: " + " ".join(points))
     elif args.action == "verify":
         rep = verify_complex(k)
         _emit(args, {"ok": rep.ok, "violations": rep.violations}, "ok" if rep.ok else "violations: "

@@ -220,7 +220,9 @@ def _transpose(rows, n: int) -> list[int]:
 def from_covers(elements, covers) -> Poset:
     """Poset from Hasse covers; leq is the reflexive-transitive closure, taken in
     one depth-first walk: a point's up-mask is its bit OR its successors', set on
-    leaving it. A step onto the walk raises CycleError naming the walk from there."""
+    leaving it. A step onto the walk raises CycleError naming the walk from there.
+    The down rows follow in reverse finishing order, which puts each point before
+    its successors: its finished down row is ORed into theirs, one OR per cover."""
     elements = tuple(elements)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
@@ -231,6 +233,7 @@ def from_covers(elements, covers) -> Poset:
         if a != b:
             succ[index[a]] |= 1 << index[b]
     up = [0] * n  # nonzero once the walk has left the point
+    finished = []
     for root in range(n):
         if up[root]:
             continue
@@ -241,6 +244,7 @@ def from_covers(elements, covers) -> Poset:
                 x, _ = walk.pop(), todo.pop()
                 up[x] = 1 << x | _union(up, succ[x])
                 on_walk ^= 1 << x
+                finished.append(x)
                 continue
             todo[-1] ^= low
             y = low.bit_length() - 1
@@ -250,7 +254,14 @@ def from_covers(elements, covers) -> Poset:
                 walk.append(y)
                 todo.append(succ[y])
                 on_walk |= low
-    return Poset._from_up(elements, up)
+    down = [1 << x for x in range(n)]
+    for x in reversed(finished):
+        row = succ[x]
+        while row:
+            low = row & -row
+            down[low.bit_length() - 1] |= down[x]
+            row ^= low
+    return Poset(elements, up, _down=down)
 
 
 # ---------------------------------------------------------------------------

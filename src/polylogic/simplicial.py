@@ -203,7 +203,9 @@ class Complex:
             )
 
     def carrier(self, x: Point) -> SimplexKey:
-        """The unique simplex whose relative interior contains x."""
+        """The simplex whose relative interior contains x: unique when the
+        complex passes verify_complex, otherwise the first such simplex in
+        simplex order. OutsideSupport if there is none."""
         self._check_point(x)
         for s in self.simplices:
             coords = barycentric_coordinates(self.points_of(s), x)

@@ -5,9 +5,11 @@ Geometry: the direct frozenset scans and the separate exact eliminations
 that ``polylogic.simplicial`` used before definable sets became face-poset
 bitmasks and the eliminations became one Gauss-Jordan routine. They are
 slow and independent of the face poset: simplices are compared by raw
-vertex-set inclusion only. The face poset's rows as they were built
-before they were built from facets: by visiting every nonempty face of
-every simplex, 3^n visits for the faces of an n-vertex simplex.
+vertex-set inclusion only. The carrier read off the maximal simplices,
+which ``Complex.carrier`` matches also where simplices cross. The face
+poset's rows as they were built before they were built from facets: by
+visiting every nonempty face of every simplex, 3^n visits for the faces of
+an n-vertex simplex.
 
 Search: the countermodel search over every poset of each size, and the
 validity check that vectorises over the last two atoms only, as used
@@ -91,6 +93,20 @@ def face_rows(k):
 def cofaces_of(k, key):
     """Every simplex of k that has key as a face, key included."""
     return [t for t in k.simplices if set(key) <= set(t)]
+
+
+def carrier_by_maximal(k, x):
+    """Over every maximal simplex M holding x, the face of M spanned by x's
+    positive coordinates in M; the least of these by (size, ids), or None if
+    no simplex holds x. Each such face has x in its relative interior, and
+    each simplex that has is one: so this is the carrier, also where
+    simplices cross."""
+    faces = []
+    for m in (s for s in k.simplices if cofaces_of(k, s) == [s]):
+        coords = barycentric_coordinates(k.points_of(m), x)
+        if coords is not None and min(coords) >= 0:
+            faces.append(tuple(v for v, c in zip(m, coords) if c > 0))
+    return min(faces, key=lambda s: (len(s), s), default=None)
 
 
 def heyting_implication_flags(k, u, v):

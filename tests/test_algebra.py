@@ -160,7 +160,8 @@ def test_join_irreducibles_of_upsets_are_principal():
 
 def test_upset_layer_matches_the_replaced_code():
     # growth against depth-first up-sets, the transpose against summed
-    # columns, columns against the carrier-index scan for join-irreducibles
+    # columns, columns against the carrier-index scan for join-irreducibles,
+    # and Up(P.op()) read off Up(P) against its own enumeration and transpose
     frames = [Poset((), ())] + [p for n in range(1, 6) for p in enumerate_posets(n)]
     frames += [k.face_poset() for k in corpus_complexes().values()]
     frames += [Poset([f"a{i}" for i in range(12)], [1 << i for i in range(12)]), chain(70)]
@@ -169,6 +170,9 @@ def test_upset_layer_matches_the_replaced_code():
         assert h.carrier == oracles.all_upsets(p)
         assert h.tables() == oracles.membership_columns(h)
         assert join_irreducibles(h) == oracles.join_irreducibles_by_covers(h)
+        op, want = h.op(), FiniteHeyting(p.op())
+        assert (op.frame.up, op.frame.down) == (want.frame.up, want.frame.down)
+        assert (op.carrier, op.tables()) == (want.carrier, want.tables())
 
 
 def test_join_irreducibles_oracle():
@@ -207,22 +211,41 @@ def test_spec_map_fails_without_a_principal_upset(monkeypatch):
 
 
 def test_stone_map_is_heyting_isomorphism():
-    # the cover check against the all-pairs oracle, on the Stone map and on
-    # broken bijections: two images swapped (bottom's, then a random pair)
-    # and the images reversed, which is never monotone
+    # the cover check against the oracles, on the Stone map and on broken
+    # maps into Up(Spec): two images swapped (bottom's, then a random pair),
+    # the images reversed, which is never monotone, and maps that are not
+    # onto Up(Spec), two up-sets sent alike or one up-set left out; the
+    # failure list is empty exactly when the map is a bijection onto Up(Spec)
+    # that the all-pairs check passes
     rng = random.Random(0)
     for p in [q for n in range(1, 6) for base in enumerate_posets(n) for q in (base, base.op())]:
-        mapping, sp, report = stone_map(FiniteHeyting(p))
-        assert report.ok and report.failures == []
+        mapping, sp, failures = stone_map(FiniteHeyting(p))
+        ups, spec_ups = oracles.all_upsets(p), oracles.all_upsets(sp)
+        assert failures == [] and sorted(mapping.values()) == spec_ups
         assert oracles.hom_failures(mapping, p, sp) == []
         keys = list(mapping)
+        broken = []
         for u, v in ((keys[0], rng.choice(keys[1:])), rng.sample(keys, 2)):
             swapped = {**mapping, u: mapping[v], v: mapping[u]}
             caught = oracles.hom_failures(swapped, p, sp) != []
-            assert (_cover_failures(swapped, p, sp) != []) == caught
             assert caught or u != keys[0]
-        flipped = dict(zip(keys, reversed(mapping.values())))
-        assert _cover_failures(flipped, p, sp) and oracles.hom_failures(flipped, p, sp)
+            broken += [swapped, {**mapping, u: mapping[v]}, {**mapping, v: mapping[u]}]
+            broken += [{w: fw for w, fw in mapping.items() if w != u}]
+        broken.append(dict(zip(keys, reversed(mapping.values()))))
+        for m in broken:
+            onto = sorted(m) == ups and sorted(m.values()) == spec_ups
+            iso = onto and oracles.hom_failures(m, p, sp) == []
+            assert (_cover_failures(m, p, sp) == []) == iso
+
+
+def test_stone_map_fails_on_a_short_join_irreducible_list(monkeypatch):
+    # with the join-irreducible up(x) dropped, the map u -> {filters
+    # containing u} sends up(x) and up(x) minus x alike
+    real = algebra.join_irreducibles
+    monkeypatch.setattr(algebra, "join_irreducibles", lambda h: real(h)[:-1])
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            assert "not injective" in stone_map(FiniteHeyting(p))[2]
 
 
 def test_cover_check_names_a_cover_on_either_side():
@@ -245,9 +268,6 @@ def test_esakia_scales_with_covers_not_pairs():
 
 
 def test_inner_algebras_take_the_callers_cap():
-    h = FiniteHeyting(fork())
-    with pytest.raises(CapExceeded):
-        stone_map(h, cap=len(h) - 1)
     f = MonotoneMap(fork(), fork(), ("r", "x", "y"))
     with pytest.raises(CapExceeded):
         up_of_pmorphism(f, cap=len(FiniteHeyting(fork())) - 1)

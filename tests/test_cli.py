@@ -486,7 +486,7 @@ def test_complex_text_quotes_a_simplex_name_that_holds_a_space(capsys, tmp_path)
     path = _write(tmp_path / "space.complex.json",
                   '{"vertices": {"a b": ["0"], "c": ["1"]}, "maximal": [["a b", "c"]]}')
     code, out, _ = run(capsys, "complex", "build", str(path))
-    assert code == 0 and out == '3 simplices: "a b" c "a b,c"\n'
+    assert code == 0 and out == '3 simplices: "a b" c "a b,c"\nvertices: "a b"=(0) c=(1)\n'
     code, out, _ = run(capsys, "complex", "star", "c", str(path))
     assert code == 0 and out == 'c "a b,c"\n'
     crossing = _write(tmp_path / "crossing.complex.json", json.dumps({
@@ -494,7 +494,8 @@ def test_complex_text_quotes_a_simplex_name_that_holds_a_space(capsys, tmp_path)
         "maximal": [["a b", "c"], ["d", 'e"|'], [""]]}))
     code, out, _ = run(capsys, "complex", "build", str(crossing))
     assert code == 0 and out == (
-        '7 simplices: "" "a b" c d "e\\"|" "a b,c" "d,e\\"|"\n')
+        '7 simplices: "" "a b" c d "e\\"|" "a b,c" "d,e\\"|"\n'
+        'vertices: ""=(5,5) "a b"=(0,0) c=(2,2) d=(0,2) "e\\"|"=(2,0)\n')
     code, out, _ = run(capsys, "complex", "verify", str(crossing))
     assert code == 1 and out == 'violations: "a b,c"|"d,e\\"|"\n'
     code, out, _ = run(capsys, "complex", "verify", "--json", str(crossing))
@@ -647,6 +648,25 @@ def _cli_cases(draw):
     return poset, cx, valuation, argv, deep
 
 
+def _run_main(argv):
+    """(exit code, stdout, stderr) of main(argv), or None after an argparse
+    usage error, which prints its usage lines too."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2 and "usage" in err.getvalue()
+            return None
+    return code, out.getvalue(), err.getvalue()
+
+
+# (command, action, exit code, text output) -> the --json output of the same
+# input, over every case drawn in the process: two cases that print one text
+# must print one JSON document, or the text hides a difference
+_JSON_OF_TEXT: dict = {}
+
+
 @settings(max_examples=150, deadline=None)
 @given(_cli_cases())
 def test_every_cli_input_exits_0_1_or_2(case):
@@ -664,16 +684,22 @@ def test_every_cli_input_exits_0_1_or_2(case):
         if deep:
             with open(paths[deep], "w", encoding="utf-8") as fh:
                 fh.write(DEEP_JSON["array-100000"])
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main([paths.get(a, a) for a in argv])
-            except SystemExit as e:  # an argparse usage error prints its usage lines too
-                assert e.code == 2 and "usage" in err.getvalue()
-                return
+        argv = [paths.get(a, a) for a in argv]
+        ran = _run_main(argv)
+        if ran is None:
+            return
+        code, out, err = ran
+        plain = [a for a in argv if a != "--json"]
+        if code != 2 and plain[0] in ("frame", "complex", "suite"):  # the forms with --json
+            text = ran if len(plain) == len(argv) else _run_main(plain)
+            as_json = ran if len(plain) < len(argv) else _run_main(["--json", *plain])
+            assert text[0] == as_json[0] == code and text[2] == as_json[2] == ""
+            if text[1] != as_json[1]:
+                key = (plain[0], plain[1], code, text[1])
+                assert _JSON_OF_TEXT.setdefault(key, as_json[1]) == as_json[1]
     assert code in (0, 1, 2)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert "Traceback" not in out + err
     if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
     else:
-        assert err.getvalue() == ""
+        assert err == ""

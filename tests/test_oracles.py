@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polylogic import corpus, simplicial
-from polylogic.errors import AffinelyDependent, DuplicateVertex, PolarityMismatch
+from polylogic.errors import AffinelyDependent, DuplicateVertex, OutsideSupport, PolarityMismatch
 from polylogic.nerve import realize
 from polylogic.poset import enumerate_posets, from_covers
 from polylogic.simplicial import (
@@ -162,3 +162,32 @@ def test_verify_complex_skips_exact_test_under_one_maximal_simplex(monkeypatch):
     assert len(k) == 63
     assert verify_complex(k).ok
     assert calls == []
+
+
+CARRIER_COMPLEXES = {
+    "corpus": list(corpus.corpus_complexes().values()),
+    "realize": [realize(p) for n in range(1, 6) for p in enumerate_posets(n)],
+    "plane": _perturbed_realizations(40, seed=2),  # some cross: verify_complex rejects them
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), group=st.sampled_from(sorted(CARRIER_COMPLEXES)))
+def test_carrier_is_the_least_face_over_the_maximal_simplices(data, group):
+    # a point is a combination of some simplex's vertices with weights 0..3,
+    # on its relative interior or its boundary, or a point of a small box,
+    # mostly outside the support
+    k = data.draw(st.sampled_from(CARRIER_COMPLEXES[group]))
+    if data.draw(st.booleans()):
+        s = data.draw(st.sampled_from(k.simplices))
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(s), max_size=len(s))
+                            .filter(any))
+        x = tuple(sum(w * p[i] for w, p in zip(weights, k.points_of(s))) / sum(weights)
+                  for i in range(k.ambient))
+    else:
+        x = data.draw(st.tuples(*[rationals] * k.ambient))
+    try:
+        got = k.carrier(x)
+    except OutsideSupport:
+        got = None
+    assert got == oracles.carrier_by_maximal(k, x)

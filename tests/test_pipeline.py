@@ -90,6 +90,25 @@ def test_verify_ji_scans_each_algebra_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_each_suite_call_enumerates_once(monkeypatch):
+    # verify_ji reads PC^c off PC^o, and verify_esakia proves the Stone map
+    # onto Up(Spec) by cover steps and scans Up(A) for join-irreducibles once
+    enumerations, scans = [], []
+    upsets, scan = poset.Poset.all_upsets, algebra.join_irreducibles
+    monkeypatch.setattr(poset.Poset, "all_upsets",
+                        lambda p, *a: enumerations.append(p) or upsets(p, *a))
+    counted = lambda h: scans.append(h) or scan(h)
+    monkeypatch.setattr(algebra, "join_irreducibles", counted)
+    monkeypatch.setattr(pipeline, "join_irreducibles", counted)
+    for k in corpus.corpus_complexes().values():
+        enumerations.clear()
+        assert verify_ji(k).ok and len(enumerations) == 1
+    for p in corpus.corpus_posets(4):
+        enumerations.clear()
+        scans.clear()
+        assert verify_esakia(p).ok and len(enumerations) == len(scans) == 1
+
+
 def test_verify_hneg_seeded():
     rep = verify_hneg(corpus.square_complex(), trials=40, seed=5)
     assert rep.ok, list(rep.lines())
