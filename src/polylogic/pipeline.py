@@ -350,7 +350,7 @@ def verify_nerve(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> Report:
             "" if bad is None else f"first failing simplex {face.elements[bad]}")
     pm = _max_map(a, k)
     ok, witness = is_pmorphism(pm)
-    rep.add("max map is a p-morphism", ok, str(witness))
+    rep.add("max map is a p-morphism", ok, "" if witness is None else str(witness))
     rep.add("max map is surjective", pm.is_surjective())
     return rep
 

@@ -291,6 +291,13 @@ def test_zero_budget_searches_nothing_and_says_so(capsys):
     assert code == 0 and "exhaustive" not in out and "over budget" in out
 
 
+def test_suite_nerve_json_gives_no_detail_on_a_passing_check(capsys):
+    code, out, _ = run(capsys, "suite", "nerve", "--json")
+    checks = [c for r in json.loads(out)["reports"] for c in r["checks"]]
+    assert code == 0 and len(checks) == 4 * 87
+    assert [c for c in checks if c["ok"] and "detail" in c] == []
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "poset", "depth", "/nonexistent.json")
     assert code == 2 and "error" in err

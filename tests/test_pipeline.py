@@ -173,6 +173,9 @@ def test_verify_nerve_fails_on_a_max_map_that_is_not_a_pmorphism(monkeypatch):
                         lambda a, k: MonotoneMap(k.face_poset(), a, ("a",) * len(k)))
     rep = verify_nerve(p)
     assert _failing(rep) == ["max map is a p-morphism", "max map is surjective"]
+    # the witness: simplex a, whose up-set maps onto up(a) less b
+    assert {label: detail for label, _, detail in rep.entries}["max map is a p-morphism"] \
+        == "('a', 'b')"
 
 
 def test_report_lines_format():
