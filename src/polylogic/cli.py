@@ -21,7 +21,7 @@ from .algebra import (
     valuation_to_json,
 )
 from .errors import MalformedInput, PolylogicError
-from .formula import And, Implies, Or, bd, fold, parse, pretty
+from .formula import And, Implies, Or, _join, bd, fold, parse, pretty
 from .nerve import realize
 from .pipeline import (
     find_frame_countermodel,
@@ -63,7 +63,7 @@ def _simplex_text(name: str) -> str:
 
 def _ast(f) -> str:
     op = {And: "and", Or: "or", Implies: "implies"}
-    return fold(f, pretty, lambda g, left, right: f"({op[type(g)]} {left} {right})")
+    return _join(fold(f, pretty, lambda g, left, right: (f"({op[type(g)]} ", left, " ", right, ")")))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,7 @@ class Complex:
 
     def contains_point(self, key: SimplexKey, x: Point) -> bool:
         """Exact test x in conv(vertices of key)."""
+        self._check_point(x)
         coords = barycentric_coordinates(self.points_of(key), x)
         return coords is not None and all(c >= 0 for c in coords)
 
@@ -347,74 +348,52 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
 # ---------------------------------------------------------------------------
 # Condition (2) verification: pairwise intersections are common faces.
 #
-# For a pair (s, t) with shared vertex ids S, a violation is a common
-# point whose weight is not entirely on S in one of the two barycentric
-# representations. Checked by exact Fourier-Motzkin feasibility of the
-# system "lam, mu >= 0, sum lam = sum mu = 1, sum lam_i v_i = sum mu_j w_j"
-# together with one strict inequality: the non-shared weights sum to more
-# than 0, which for weights >= 0 says that one of them is positive.
+# Simplices s and t with shared vertices S violate it iff some common point
+# x = sum lam_v v = sum mu_w w (lam, mu >= 0, each summing to 1) puts weight
+# > 0 on a vertex outside S in one of the two representations. Subtract the
+# two and lift each vertex v to (v, 1): then z = lam - mu on S, lam on s \ S
+# and mu on t \ S is a linear dependency of the columns (v, 1) for v in s
+# and -(w, 1) for w in t \ s, >= 0 on the vertices outside S (the signed
+# columns) and > 0 on one of them. Conversely, given such a z, take
+# eps >= max(0, -z_u) over u in S and put lam_u = z_u + eps, mu_u = eps on
+# S and lam, mu = z off S: the eps cancel, so sum lam (v, 1) = sum mu (w, 1)
+# with lam, mu >= 0; the last coordinate says sum lam = sum mu, which is
+# > 0 because the signed z, a part of lam and mu, sum to more than 0, and
+# dividing by it gives a violating x. When the columns are linearly
+# independent, that is when the vertices of s and t are affinely
+# independent, z = 0 is the only dependency and s and t meet properly.
 
 
-def _fm_feasible(eqs, ineqs) -> bool:
-    """eqs: (coeffs, const) meaning sum c_i x_i + const = 0.
-    ineqs: (coeffs, const, strict) meaning sum c_i x_i + const >= 0 (> 0).
+def _signed_dependency(columns: list[Point], signed: list[bool]) -> bool:
+    """Whether sum z_c columns[c] = 0 for some z >= 0 on the signed columns
+    whose signed entries sum to more than 0.
 
-    The equalities are solved for their pivot variables, which are
-    substituted out of the inequalities; Fourier-Motzkin eliminates the
-    free variables that remain."""
-    nvars = len(eqs[0][0]) if eqs else (len(ineqs[0][0]) if ineqs else 0)
-    rows, pivots = _rref([list(c) + [k] for c, k in eqs], nvars)
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return False
-    reduced = []
-    for coeffs, const, strict in ineqs:
-        # x_j = -(row[-1] + sum over free v of row[v] x_v) for pivot j
-        for row, j in zip(rows, pivots):
-            f = coeffs[j]
-            if f != 0:
-                coeffs = [a - f * b for a, b in zip(coeffs, row)]
-                const -= f * row[-1]
-        reduced.append((coeffs, const, strict))
-    ineqs = reduced
-    for j in sorted(set(range(nvars)) - set(pivots)):
-        pos = [t for t in ineqs if t[0][j] > 0]
-        neg = [t for t in ineqs if t[0][j] < 0]
-        new = [t for t in ineqs if t[0][j] == 0]
-        for pc, pk, ps in pos:
-            for nc, nk, ns in neg:
-                a, b = pc[j], -nc[j]
-                cc = [b * pc[v] + a * nc[v] for v in range(nvars)]
-                new.append((cc, b * pk + a * nk, ps or ns))
-        ineqs = new
-    for coeffs, const, strict in ineqs:
-        if strict:
-            if const <= 0:
-                return False
-        elif const < 0:
-            return False
-    return True
+    One _rref gives the kernel, each pivot coordinate in terms of the free
+    ones; each signed z_c is a row >= 0 over the free coordinates, and their
+    sum one strict row. Fourier-Motzkin eliminates the free coordinates: no
+    row has a constant, so what is left reads 0 >= 0 or 0 > 0, and z exists
+    iff no strict row is left. With no free coordinate nothing is eliminated
+    and the strict row, 0 > 0, is left."""
+    rows, pivots = _rref([list(r) for r in zip(*columns)], len(columns))
+    free = [c for c in range(len(columns)) if c not in pivots]
+    form = {c: [int(c == f) for f in free] for c in free}
+    form.update((p, [-row[f] for f in free]) for row, p in zip(rows, pivots))
+    ineqs = [(form[c], False) for c in range(len(columns)) if signed[c]]
+    ineqs.append(([sum(r[i] for r, _ in ineqs) for i in range(len(free))], True))
+    for i in range(len(free)):
+        pos = [r for r in ineqs if r[0][i] > 0]
+        neg = [r for r in ineqs if r[0][i] < 0]
+        ineqs = [r for r in ineqs if r[0][i] == 0] + [
+            ([-nc[i] * a + pc[i] * b for a, b in zip(pc, nc)], ps or ns)
+            for pc, ps in pos for nc, ns in neg]
+    return not any(strict for _, strict in ineqs)
 
 
 def _pair_violates(k: Complex, s: SimplexKey, t: SimplexKey) -> bool:
-    pa = k.points_of(s)
-    pb = k.points_of(t)
-    shared = set(s) & set(t)
-    na, nb = len(pa), len(pb)
-    nvars = na + nb
-    eqs = []
-    for i in range(k.ambient):
-        coeffs = [p[i] for p in pa] + [-q[i] for q in pb]
-        eqs.append((coeffs, Fraction(0)))
-    one = [Fraction(1)] * na + [Fraction(0)] * nb
-    eqs.append((one, Fraction(-1)))
-    two = [Fraction(0)] * na + [Fraction(1)] * nb
-    eqs.append((two, Fraction(-1)))
-    nonneg = [
-        ([Fraction(int(v == j)) for v in range(nvars)], Fraction(0), False)
-        for j in range(nvars)
-    ]
-    outside = ([Fraction(int(vid not in shared)) for vid in s + t], Fraction(0), True)
-    return _fm_feasible(eqs, nonneg + [outside])
+    apart = [w for w in t if w not in s]
+    columns = [k.vertices[v] + (Fraction(1),) for v in s]
+    columns += [tuple(-c for c in k.vertices[w]) + (Fraction(-1),) for w in apart]
+    return _signed_dependency(columns, [v not in t for v in s] + [True] * len(apart))
 
 
 @dataclass

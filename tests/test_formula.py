@@ -3,6 +3,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from polylogic.algebra import eval_formula, is_valid
+from polylogic.cli import _ast
 from polylogic.errors import MalformedInput, ParseError
 from polylogic.formula import (
     And,
@@ -181,17 +182,20 @@ def test_parse_matches_the_recursive_descent_oracle(text):
 DEEP = 100_000
 
 
-@pytest.mark.parametrize("text, printed, valid", [
-    pytest.param("(" * DEEP + "p" + ")" * DEEP, "p", False, id="parentheses"),
-    pytest.param("~" * DEEP + "p", "~" * DEEP + "p", False, id="negations"),
-    pytest.param(" -> ".join(["p"] * DEEP), " -> ".join(["p"] * DEEP), True, id="implications"),
+@pytest.mark.parametrize("text, printed, tree, valid", [
+    pytest.param("(" * DEEP + "p" + ")" * DEEP, "p", "p", False, id="parentheses"),
+    pytest.param("~" * DEEP + "p", "~" * DEEP + "p",
+                 "(implies " * DEEP + "p" + " false)" * DEEP, False, id="negations"),
+    pytest.param(" -> ".join(["p"] * DEEP), " -> ".join(["p"] * DEEP),
+                 "(implies p " * (DEEP - 1) + "p" + ")" * (DEEP - 1), True, id="implications"),
 ])
-def test_formulas_100000_deep_need_no_recursion(text, printed, valid):
+def test_formulas_100000_deep_need_no_recursion(text, printed, tree, valid):
     # negations nest to the left, implications to the right
     f, g = parse(text), parse(text)
     assert f == g and hash(f) == hash(g) and f != parse(text.replace("p", "q"))
     assert repr(f).count("Atom(name='p')") == printed.count("p")
     assert pretty(f) == printed
+    assert _ast(f) == tree  # the text of formula parse
     assert atoms(f) == ["p"]
     point = Poset(["a"], [1])
     assert eval_formula(point, {"p": 0}, f) == int(valid)

@@ -2,6 +2,7 @@
 filtered intersection check, each against the slower code in oracles.py."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -94,25 +95,30 @@ def test_rref_coordinates_match_old_elimination(data, dim, count):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), nvars=st.integers(1, 3))
-def test_fm_feasibility_matches_old_substitution(data, nvars):
-    coeffs = st.lists(rationals, min_size=nvars, max_size=nvars)
-    eqs = data.draw(st.lists(st.tuples(coeffs, rationals), max_size=2))
-    ineqs = data.draw(st.lists(st.tuples(coeffs, rationals, st.booleans()), max_size=4))
-    assert simplicial._fm_feasible(eqs, ineqs) == oracles.fm_feasible(eqs, ineqs)
+@given(data=st.data(), dim=st.integers(1, 3), count=st.integers(1, 5))
+def test_fm_feasibility_matches_old_substitution(data, dim, count):
+    # a homogeneous signed system, written for the oracle as equalities with
+    # constant 0, rows z_j >= 0 on the signed columns and one strict sum row
+    columns = data.draw(st.lists(st.tuples(*[rationals] * dim), min_size=count, max_size=count))
+    signed = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    eqs = [([c[i] for c in columns], Fraction(0)) for i in range(dim)]
+    ineqs = [([Fraction(int(j == c)) for c in range(count)], Fraction(0), False)
+             for j in range(count) if signed[j]]
+    ineqs.append(([Fraction(int(x)) for x in signed], Fraction(0), True))
+    assert simplicial._signed_dependency(columns, signed) == oracles.fm_feasible(eqs, ineqs)
 
 
-def _perturbed_realizations(count, seed):
-    """Realizations of posets of depth <= 2 with their vertices moved to
-    random points of a small grid in the plane, where simplices cross."""
+def _perturbed_realizations(count, seed, dim=2):
+    """Realizations of posets of depth <= dim with their vertices moved to
+    random points of a small grid in R^dim, where simplices cross."""
     rng = random.Random(seed)
-    posets = [p for p in corpus.corpus_posets(5) if len(p) >= 3 and p.depth() <= 2]
+    posets = [p for p in corpus.corpus_posets(5) if len(p) >= 3 and p.depth() <= dim]
     out = []
     while len(out) < count:
         p = rng.choice(posets)
         k = realize(p)
         maximal = [list(s) for s in k.maximal()]
-        vertices = {v: [str(rng.randint(-2, 2)) for _ in range(2)] for v in k.vertices}
+        vertices = {v: [str(rng.randint(-2, 2)) for _ in range(dim)] for v in k.vertices}
         try:
             out.append(build_complex(vertices, maximal))
         except (AffinelyDependent, DuplicateVertex):
@@ -134,18 +140,23 @@ def test_verify_complex_matches_all_pairs_oracle(monkeypatch):
     # one exact run per tested pair: its non-shared weights sum to more
     # than 0, in place of one run per non-shared weight
     pairs, runs = [], []
-    violates, feasible = simplicial._pair_violates, simplicial._fm_feasible
+    violates, dependent = simplicial._pair_violates, simplicial._signed_dependency
     monkeypatch.setattr(simplicial, "_pair_violates", lambda *a: pairs.append(a) or violates(*a))
-    monkeypatch.setattr(simplicial, "_fm_feasible", lambda *a: runs.append(a) or feasible(*a))
-    invalid = violations = 0
-    for k in _perturbed_realizations(40, seed=2):
-        want = oracles.verify_complex_violations(k)
-        assert verify_complex(k).violations == want
-        invalid += bool(want)
-        violations += len(want)
-    # the sample must hold valid and invalid complexes alike
-    assert 10 <= invalid <= 30 and violations > invalid
-    assert len(runs) == len(pairs) > violations
+    monkeypatch.setattr(simplicial, "_signed_dependency",
+                        lambda *a: runs.append(a) or dependent(*a))
+    total = 0
+    for dim, count, seed in [(1, 20, 2), (2, 40, 2), (3, 8, 3)]:
+        invalid = violations = 0
+        for k in _perturbed_realizations(count, seed, dim):
+            want = oracles.verify_complex_violations(k)
+            assert verify_complex(k).violations == want
+            invalid += bool(want)
+            violations += len(want)
+        # each sample must hold valid and invalid complexes alike
+        assert 0 < invalid < count and violations > invalid
+        assert dim != 2 or 10 <= invalid <= 30
+        total += violations
+    assert len(runs) == len(pairs) > total
 
 
 def test_verify_complex_skips_exact_test_under_one_maximal_simplex(monkeypatch):

@@ -135,6 +135,16 @@ def test_carrier_examples():
         k.carrier((F(2), F(2)))
 
 
+@pytest.mark.parametrize("x", [(F(0),), (F(0), F(0), F(0))], ids=["1-coordinate", "3-coordinate"])
+def test_point_of_the_wrong_dimension_raises_dimension_mismatch(x):
+    # the square is in R^2; solving only x's coordinates put (0,) in abc
+    k = square()
+    with pytest.raises(DimensionMismatch):
+        k.contains_point(("a", "b", "c"), x)
+    with pytest.raises(DimensionMismatch):
+        k.carrier(x)
+
+
 def test_carrier_is_unique_and_minimal():
     # the carrier is the unique simplex containing the point whose every
     # proper face omits it
