@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -289,6 +290,11 @@ def main(argv=None) -> int:
         ap.error(f"complex {args.action} needs ARG before FILE")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone (`| head`): what is left goes to the null device,
+        # so that the flush at exit fails neither loudly nor with an exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (PolylogicError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,21 +12,22 @@ visiting every nonempty face of every simplex, 3^n visits for the faces of
 an n-vertex simplex.
 
 Search: the countermodel search over every poset of each size, and the
-validity check that vectorises over the last two atoms only, as used
-before the search was restricted to rooted frames and the check to
-whole-batch grids. It runs on the numpy operation tables over carrier
-indices that the program used before validity became bit-sliced, so it
-holds frames of at most 64 elements.
+validity check that bit-slices the last two atoms only and loops over the
+rest, as used before the search was restricted to rooted frames and the
+check to whole-batch grids.
 
 Order: the poset generator that added a new element with every
-compatible (down-set, up-set) pair before it added only maximal ones,
-and the all-pairs join-irreducible scan that ran before lower covers
-were read off the carrier.
+compatible (down-set, up-set) pair before it added only maximal ones, and
+the all-pairs join-irreducible scan that ran before lower covers were read
+off the carrier. The generator deduplicates by its own copy of the
+program's canonical form and bounds depth by the longest chain of up rows,
+so no oracle shares the program's order kernels.
 
 Lower sets: the down-sets of a poset as a carrier of their own, its
 minimal elements read off the down-masks, and the ji report built on that
-carrier, with one join-irreducible scan per check, as they were before
-lower sets became the up-sets of the opposite order.
+carrier, with one join-irreducible scan per check and the spectrum depths
+read off as longest chains of join-irreducibles, as they were before lower
+sets became the up-sets of the opposite order.
 
 Maps and chains: the checks that compared element names in pairs before
 maps were kept as image indices and checked one mask identity per point,
@@ -45,11 +46,11 @@ that looked each u minus one point up in a carrier index, as they were
 before up-sets were grown element by element, the columns became one
 transpose and join-irreducibles were read off the columns.
 
-Duality: the check of a map between up-set algebras on every pair of
-up-sets and each of meet, join and implication, and isomorphism by
-canonical forms, as used before the Stone map was checked on covers, the
-dual of a p-morphism point by point, and Spec(Up(A)) against A by the
-explicit map x -> up(x).
+Duality: Heyting implication read off the up rows by its definition, the
+check of a map between up-set algebras on every pair of up-sets and each of
+meet, join and implication, and isomorphism by canonical forms, as used
+before the Stone map was checked on covers, the dual of a p-morphism point
+by point, and Spec(Up(A)) against A by the explicit map x -> up(x).
 
 Closure: reachability along the covers by one depth-first search per
 element over name pairs, the slow check of ``from_covers``.
@@ -57,19 +58,17 @@ element over name pairs, the slow check of ``from_covers``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
-import numpy as np
-
-from polylogic.algebra import FiniteHeyting, _spectrum
 from polylogic.errors import CapExceeded, MissingAtom, ParseError
 from polylogic.formula import And, Atom, Bottom, Implies, Or, Top, neg
 from polylogic.pipeline import Report
-from polylogic.poset import DEFAULT_UPSET_CAP, Poset, _canonical_form, enumerate_posets
+from polylogic.poset import DEFAULT_UPSET_CAP, Poset
 from polylogic.simplicial import build_complex
 
 
@@ -266,98 +265,132 @@ def verify_complex_violations(k):
     return bad
 
 
-def operation_tables(h):
-    """Meet, join and implication tables over carrier indices of the
-    Heyting algebra h, as int64 arrays of shape (m, m)."""
-    c = np.array(h.carrier, dtype=np.uint64)
-    m = len(c)
-    meet = c[:, None] & c[None, :]
-    join = c[:, None] | c[None, :]
-    imp = np.zeros((m, m), dtype=np.uint64)
-    for i, upmask in enumerate(h.frame.up):
-        ua = np.uint64(upmask)
-        ok = (c[:, None] & ua & ~c[None, :]) == 0
-        imp |= ok.astype(np.uint64) << np.uint64(i)
-    to_idx = lambda masks: np.searchsorted(c, masks).astype(np.int64)
-    return to_idx(meet), to_idx(join), to_idx(imp)
-
-
-def eval_indices(f, arrays, tables, bot_idx, top_idx):
-    """f over carrier-index arrays, one table lookup per connective."""
-    meet_t, join_t, imp_t = tables
-    if isinstance(f, Atom):
-        return arrays[f.name]
-    if isinstance(f, Bottom):
-        return bot_idx
-    if isinstance(f, Top):
-        return top_idx
-    a = eval_indices(f.left, arrays, tables, bot_idx, top_idx)
-    b = eval_indices(f.right, arrays, tables, bot_idx, top_idx)
-    if isinstance(f, And):
-        return meet_t[a, b]
-    if isinstance(f, Or):
-        return join_t[a, b]
-    return imp_t[a, b]
-
-
 def is_valid(frame, f):
-    """Validity of f over Up(frame): numpy over the last (up to) two
-    atoms, a Python loop over the rest. Returns (valid, first refuting
-    valuation, its 1-based lexicographic position or m**k if valid)."""
-    h = FiniteHeyting(frame)
+    """Validity of f over Up(frame): the last (up to) two atoms bit-sliced,
+    bit b of each int giving them the base-m digits of b, a Python loop over
+    the rest. Returns (valid, first refuting valuation, its 1-based
+    lexicographic position or m**k if valid)."""
+    carrier = all_upsets(frame)
     names = atoms(f)
-    m = len(h)
-    k = len(names)
-    if k == 0:
-        ok = eval_formula(frame, {}, f) == frame.full_mask
-        return ok, None if ok else {}, 1
-    tables = operation_tables(h)
-    bot_idx = h.carrier.index(0)
-    top_idx = h.carrier.index(frame.full_mask)
-    inner = names[-2:] if k >= 2 else names[-1:]
-    outer = names[: k - len(inner)]
-    if len(inner) == 2:
-        grid = (np.arange(m).reshape(m, 1), np.arange(m).reshape(1, m))
-    else:
-        grid = (np.arange(m),)
-    checked = 0
-    for combo in itertools.product(range(m), repeat=len(outer)):
-        arrays = {name: np.int64(idx) for name, idx in zip(outer, combo)}
-        for name, g in zip(inner, grid):
-            arrays[name] = g
-        res = eval_indices(f, arrays, tables, bot_idx, top_idx)
-        res = np.broadcast_to(res, (m,) * len(inner))
-        flat = res.reshape(-1)
-        bad = np.flatnonzero(flat != top_idx)
-        if bad.size:
-            first = int(bad[0])
-            inner_idx = np.unravel_index(first, (m,) * len(inner))
-            valuation = {name: h.carrier[idx] for name, idx in zip(outer, combo)}
-            for name, idx in zip(inner, inner_idx):
-                valuation[name] = h.carrier[int(idx)]
-            return False, valuation, checked + first + 1
-        checked += flat.size
-    return True, None, checked
+    n, m = len(frame), len(carrier)
+    inner = names[-2:]
+    outer = names[: len(names) - len(inner)]
+    size = m ** len(inner)
+    ones = (1 << size) - 1
+    ups = [[j for j in range(n) if up >> j & 1] for up in frame.up]
+
+    def pattern(i, j):
+        # bit b is whether point i lies in carrier[digit j of b]
+        run = m ** (len(inner) - 1 - j)
+        digits = "".join(("1" if u >> i & 1 else "0") * run for u in reversed(carrier))
+        return int(digits * m**j, 2)
+
+    inner_env = {a: [pattern(i, j) for i in range(n)] for j, a in enumerate(inner)}
+    for done, combo in enumerate(itertools.product(carrier, repeat=len(outer))):
+        env = {a: [ones if u >> i & 1 else 0 for i in range(n)] for a, u in zip(outer, combo)}
+        bad = ones & ~reduce(and_, eval_sliced(f, env | inner_env, ups, ones), ones)
+        if bad:
+            first = (bad & -bad).bit_length() - 1
+            valuation = dict(zip(outer, combo))
+            for j, a in enumerate(inner):
+                valuation[a] = carrier[first // m ** (len(inner) - 1 - j) % m]
+            return False, valuation, done * size + first + 1
+    return True, None, m ** len(names)
 
 
 def find_frame_countermodel(f, max_size, max_depth=None):
     """First refuting (frame, valuation) over every poset of sizes
-    1..max_size in enumerate_posets order, or None."""
+    1..max_size in enumerate_by_all_extensions order, or None."""
     for n in range(1, max_size + 1):
-        for frame in enumerate_posets(n, max_depth):
+        for form in enumerate_by_all_extensions(n, max_depth):
+            frame = Poset._from_up([f"x{i + 1}" for i in range(n)], form)
             valid, valuation, _ = is_valid(frame, f)
             if not valid:
                 return frame, valuation
     return None
 
 
+def union(rows, mask: int) -> int:
+    """The OR of rows[i] over the set bits i of mask, rows being a list or a
+    dict of masks: the Boolean matrix-vector product of a relation and a set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def transpose(rows, n: int) -> list[int]:
+    """The n rows of the converse relation: bit i of row j iff bit j of rows[i]."""
+    out = [0] * n
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def refine_invariants(up, down, n):
+    inv = [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(n)]
+    for _ in range(n):
+        nxt = []
+        for i in range(n):
+            ups = sorted(inv[j] for j in range(n) if up[i] >> j & 1 and j != i)
+            downs = sorted(inv[j] for j in range(n) if down[i] >> j & 1 and j != i)
+            nxt.append((inv[i], tuple(ups), tuple(downs)))
+        # compress to comparable ranks
+        ranks = {v: r for r, v in enumerate(sorted(set(nxt)))}
+        nxt = [(ranks[v],) for v in nxt]
+        if nxt == inv:
+            break
+        inv = nxt
+    return inv
+
+
+def canonical_form(up, n) -> tuple[int, ...]:
+    """The least up-mask tuple over the relabellings that keep the refined
+    invariant classes in order: a copy of the program's canonical form, so
+    the enumeration oracles fix the classes and their order without it."""
+    if n == 0:
+        return ()
+    down = transpose(up, n)
+    inv = refine_invariants(up, down, n)
+    groups: dict = {}
+    for i in range(n):
+        groups.setdefault(inv[i], []).append(i)
+    ordered_groups = [groups[k] for k in sorted(groups)]
+    best = None
+    for perm_parts in itertools.product(
+        *(itertools.permutations(g) for g in ordered_groups)
+    ):
+        perm = [i for part in perm_parts for i in part]  # new position -> old index
+        bits = {old: 1 << new for new, old in enumerate(perm)}
+        cand = tuple([union(bits, up[old]) for old in perm])
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def longest_chain(masks) -> int:
+    """The number of masks in the longest chain under strict inclusion; the
+    depth of a poset is one less on its up rows."""
+    masks = sorted(set(masks), key=int.bit_count)
+    length = []
+    for i, u in enumerate(masks):
+        length.append(1 + max((length[j] for j in range(i) if masks[j] & ~u == 0), default=0))
+    return max(length, default=0)
+
+
 def all_extensions(up, k):
     """Extend a poset on k-1 elements (up-mask tuple) by a new element in
     every compatible way: below a down-set d, above an up-set u."""
     m = k - 1
-    base = Poset._from_up([str(i) for i in range(m)], up)
-    for d_mask in base.op().all_upsets():
-        for u_mask in base.all_upsets():
+    upsets = all_upsets(Poset._from_up([str(i) for i in range(m)], up))
+    for d_mask in ((1 << m) - 1 & ~u for u in upsets):
+        for u_mask in upsets:
             if d_mask & u_mask:
                 continue
             if any(d_mask >> i & 1 and u_mask & ~up[i] for i in range(m)):
@@ -368,19 +401,21 @@ def all_extensions(up, k):
 
 def enumerate_by_all_extensions(n, max_depth=None):
     """Canonical up-mask tuples of every n-poset of depth <= max_depth,
-    built with all_extensions at each size, in ascending order."""
-    forms = {(1,)}
-    for k in range(2, n + 1):
-        nxt = set()
-        for form in forms:
-            for extended in all_extensions(form, k):
-                if max_depth is not None:
-                    p = Poset._from_up([f"t{i}" for i in range(k)], extended)
-                    if p.depth() > max_depth:
-                        continue
-                nxt.add(_canonical_form(extended, k))
-        forms = nxt
-    return sorted(forms)
+    built with all_extensions at each size, in ascending order; each level
+    is computed once per process."""
+    return list(_levels(n, max_depth))
+
+
+@functools.cache
+def _levels(n, max_depth):
+    if n == 1:
+        return ((1,),)
+    forms = set()
+    for form in _levels(n - 1, max_depth):
+        for extended in all_extensions(form, n):
+            if max_depth is None or longest_chain(extended) - 1 <= max_depth:
+                forms.add(canonical_form(extended, n))
+    return tuple(sorted(forms))
 
 
 def join_irreducibles(algebra):
@@ -427,13 +462,13 @@ def membership_columns(h):
             for i in range(len(h.frame))]
 
 
-def join_irreducibles_by_covers(algebra):
+def join_irreducibles_by_covers(carrier):
     """Carrier elements u with exactly one lower cover, found by looking
     each u minus one point up in the carrier; the carrier must be all
     up-sets or all down-sets of a frame."""
-    index = set(algebra.carrier)
+    index = set(carrier)
     out = []
-    for u in algebra.carrier:
+    for u in carrier:
         covers, rest = 0, u
         while rest and covers < 2:
             low = rest & -rest
@@ -453,23 +488,14 @@ def minimal_of(p, mask):
     return out
 
 
-class LowerSets:
-    """Lo(P): every down-set of P, ascending, as its own carrier."""
-
-    def __init__(self, frame):
-        self.frame = frame
-        self.carrier = sorted(frame.full_mask & ~u for u in frame.all_upsets())
-
-    def __len__(self):
-        return len(self.carrier)
-
-
 def verify_ji(k):
     """The ji report with PC^c(K) on the down-sets of the face poset, one
-    carrier-index scan per algebra, the depths read off their spectra."""
+    carrier-index scan per algebra, the depths of their spectra read off as
+    longest chains of join-irreducibles."""
     rep = Report("ji")
     face = k.face_poset()
-    closed, opened = LowerSets(face), FiniteHeyting(face)
+    opened = all_upsets(face)
+    closed = sorted(face.full_mask & ~u for u in opened)
     jis_c = join_irreducibles_by_covers(closed)
     principal_down = sorted(face.down[i] for i in range(len(face)))
     rep.add(
@@ -483,7 +509,7 @@ def verify_ji(k):
     if len(closed) > 1:
         rep.add(
             f"longest prime-filter chain = dim+1 = {d + 1} in both algebras",
-            _spectrum(face, jis_c).depth() == d and _spectrum(face, jis_o).depth() == d,
+            longest_chain(jis_c) - 1 == d and longest_chain(jis_o) - 1 == d,
         )
     else:
         rep.add("trivial algebra on the empty complex", d == -1)
@@ -758,6 +784,11 @@ def atoms(f) -> list[str]:
     return seen
 
 
+def imp(frame, u, v) -> int:
+    """U -> V in Up(frame): the points a such that every b >= a in U is in V."""
+    return sum(1 << a for a, row in enumerate(frame.up) if row & u & ~v == 0)
+
+
 def eval_formula(frame, valuation, f) -> int:
     """f in Up(frame) under valuation, an up-set mask per atom name."""
     if isinstance(f, Atom):
@@ -774,7 +805,7 @@ def eval_formula(frame, valuation, f) -> int:
         return left & right
     if isinstance(f, Or):
         return left | right
-    return frame.imp(left, right)
+    return imp(frame, left, right)
 
 
 def eval_sliced(f, env, ups, ones) -> list[int]:
@@ -819,7 +850,7 @@ def hom_failures(mapping, src, dst):
         for opname, have, want in (
             ("meet", mapping[u & v], fu & fv),
             ("join", mapping[u | v], fu | fv),
-            ("imp", mapping[src.imp(u, v)], dst.imp(fu, fv)),
+            ("imp", mapping[imp(src, u, v)], imp(dst, fu, fv)),
         ):
             if have != want:
                 out.append((opname, u, v))
@@ -828,7 +859,7 @@ def hom_failures(mapping, src, dst):
 
 def is_isomorphic(p, q):
     """Whether p and q have the same canonical form."""
-    return len(p) == len(q) and _canonical_form(p.up, len(p)) == _canonical_form(q.up, len(q))
+    return len(p) == len(q) and canonical_form(p.up, len(p)) == canonical_form(q.up, len(q))
 
 
 def reachable(elements, covers) -> list[int]:

@@ -169,7 +169,7 @@ def test_upset_layer_matches_the_replaced_code():
         h = FiniteHeyting(p)
         assert h.carrier == oracles.all_upsets(p)
         assert h.tables() == oracles.membership_columns(h)
-        assert join_irreducibles(h) == oracles.join_irreducibles_by_covers(h)
+        assert join_irreducibles(h) == oracles.join_irreducibles_by_covers(h.carrier)
         op, want = h.op(), FiniteHeyting(p.op())
         assert (op.frame.up, op.frame.down) == (want.frame.up, want.frame.down)
         assert (op.carrier, op.tables()) == (want.carrier, want.tables())

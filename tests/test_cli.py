@@ -568,6 +568,29 @@ def test_import_leaves_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_oracles_leave_numpy_out():
+    paths = [str(Path(polylogic.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    probe = "import sys, oracles; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_a_closed_output_pipe_exits_0_quietly(tmp_path):
+    # 2**16 up-set lines overflow the pipe buffer, so a write after the
+    # reader has gone fails
+    path = tmp_path / "antichain16.json"
+    _write(path, json.dumps({"elements": [f"a{i}" for i in range(16)], "covers": []}))
+    src = str(Path(polylogic.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "polylogic.cli", "poset", "upsets", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.readline() == "{}\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, "")
+
+
 # The CLI property gate: every subcommand and option, with bound values, on
 # small generated files whose names may be empty or hold ,{}"| spaces or
 # non-ASCII text. File arguments are placeholders until the files exist.

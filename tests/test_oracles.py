@@ -1,8 +1,11 @@
 """The face-poset mask algebra, the single exact elimination and the
-filtered intersection check, each against the slower code in oracles.py."""
+filtered intersection check, each against the slower code in oracles.py;
+and what oracles.py takes from the program, and its own canonical form."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +205,50 @@ def test_carrier_is_the_least_face_over_the_maximal_simplices(data, group):
     except OutsideSupport:
         got = None
     assert got == oracles.carrier_by_maximal(k, x)
+
+
+# What oracles.py may import from polylogic, besides anything from
+# polylogic.errors: data types, constructors and the formula node classes.
+ORACLE_IMPORTS = {
+    "polylogic.poset": {"Poset", "DEFAULT_UPSET_CAP"},
+    "polylogic.simplicial": {"build_complex"},
+    "polylogic.pipeline": {"Report"},
+    "polylogic.formula": {"Atom", "Bottom", "Top", "And", "Or", "Implies", "neg"},
+}
+
+
+def borrowed_names(source):
+    """The names a module takes from polylogic beyond ORACLE_IMPORTS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "polylogic"]
+        elif (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "polylogic"
+              and node.module != "polylogic.errors"):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name not in ORACLE_IMPORTS.get(node.module, ())]
+    return found
+
+
+def test_oracles_borrow_no_kernel_from_the_program():
+    assert borrowed_names(Path(oracles.__file__).read_text()) == []
+    assert borrowed_names(
+        "import polylogic.algebra\n"
+        "from polylogic import poset\n"
+        "from polylogic.errors import CapExceeded\n"
+        "from polylogic.poset import Poset, _canonical_form, enumerate_posets\n"
+    ) == ["polylogic.algebra", "polylogic.poset", "polylogic.poset._canonical_form",
+          "polylogic.poset.enumerate_posets"]
+
+
+def test_the_oracle_canonical_form_ignores_relabelling():
+    # each poset of at most 6 elements, as the oracle's own form, keeps that
+    # form under three random relabellings
+    rnd = random.Random(13)
+    for n in range(1, 7):
+        for form in oracles.enumerate_by_all_extensions(n):
+            for _ in range(3):
+                perm = rnd.sample(range(n), n)  # new position -> old index
+                bits = {old: 1 << new for new, old in enumerate(perm)}
+                relabelled = [oracles.union(bits, form[old]) for old in perm]
+                assert oracles.canonical_form(relabelled, n) == form

@@ -130,6 +130,19 @@ def test_is_valid_on_a_ten_antichain():
         assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
 
 
+def test_is_valid_past_64_elements():
+    # a 64-chain below two maximal points: 66 elements and 68 up-sets, more
+    # elements than the uint64 tables of an earlier oracle held
+    chain = [f"c{i}" for i in range(64)]
+    covers = list(zip(chain, chain[1:])) + [(chain[-1], "a"), (chain[-1], "b")]
+    frame = from_covers(chain + ["a", "b"], covers)
+    for text in ["p | ~p", "~p | ~~p", "(p -> q) | (q -> p)", "p -> (q -> p)",
+                 "(p -> r) -> (q -> r) -> (p | q -> r)"]:
+        f = parse(text)
+        res = is_valid(frame, f)
+        assert (res.valid, res.valuation, res.checked) == oracles.is_valid(frame, f)
+
+
 @st.composite
 def non_rooted_frames(draw):
     """A frame on at most 5 points with two or more minimal points, its
