@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .errors import (
-    BudgetExceeded,
-    MalformedInput,
-    MissingAtom,
-    NotPMorphism,
-    SoundnessError,
-)
+from .errors import BudgetExceeded, MalformedInput, MissingAtom, NotPMorphism, SoundnessError
 from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
-from .poset import (DEFAULT_UPSET_CAP, MonotoneMap, Poset, _cover_rows, _union, is_name_list,
-                    is_pmorphism, json_object)
+from .poset import (DEFAULT_BUDGET, DEFAULT_UPSET_CAP, MonotoneMap, Poset, _cover_rows, _union,
+                    is_name_list, is_pmorphism, json_object)
 
 __all__ = [
     "FiniteHeyting",
@@ -43,7 +37,6 @@ __all__ = [
     "valuation_to_json",
 ]
 
-DEFAULT_BUDGET = 10**7
 _BATCH = 1 << 16  # valuations per bit-sliced pass of is_valid
 
 

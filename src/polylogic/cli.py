@@ -13,34 +13,11 @@ import json
 import os
 import sys
 
-from . import corpus as corpus_mod
-from .algebra import (
-    DEFAULT_BUDGET,
-    eval_formula,
-    is_valid,
-    valuation_from_json,
-    valuation_to_json,
-)
 from .errors import MalformedInput, PolylogicError
 from .formula import And, Implies, Or, _join, bd, fold, parse, pretty
-from .nerve import realize
-from .pipeline import (
-    find_frame_countermodel,
-    polyhedral_countermodel,
-    verify_dim_bd,
-    verify_esakia,
-    verify_hneg,
-    verify_ji,
-    verify_nerve,
-)
-from .poset import DEFAULT_UPSET_CAP, poset_from_json, poset_to_json, read_text
-from .simplicial import (
-    complex_from_json,
-    complex_to_json,
-    complex_to_off,
-    parse_rational,
-    verify_complex,
-)
+from .poset import DEFAULT_BUDGET, DEFAULT_UPSET_CAP, poset_from_json, read_text
+
+# Each cmd_* imports the rest of what it uses, so a command loads only its own modules.
 
 
 def _emit(args, data, text: str | None = None):
@@ -96,6 +73,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_frame(args) -> int:
+    from .algebra import eval_formula, is_valid, valuation_from_json, valuation_to_json
+
     f = parse(args.formula)
     frame = poset_from_json(read_text(args.poset))
     if args.valuation:
@@ -117,6 +96,9 @@ def cmd_frame(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    from .poset import poset_to_json
+    from .simplicial import complex_from_json, complex_to_json, parse_rational, verify_complex
+
     k = complex_from_json(read_text(args.file))
     if args.action == "build":
         points = (f"{_simplex_text(v)}=({','.join(map(str, k.vertices[v]))})"
@@ -143,6 +125,9 @@ def cmd_complex(args) -> int:
 
 
 def cmd_nerve(args) -> int:
+    from .nerve import realize
+    from .simplicial import complex_to_json, complex_to_off
+
     k = realize(poset_from_json(read_text(args.file)))
     if args.export == "off":
         out = complex_to_off(k)
@@ -157,6 +142,8 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_counter(args) -> int:
+    from .pipeline import find_frame_countermodel, polyhedral_countermodel
+
     f = parse(args.formula)
     if args.polyhedral:  # without --depth, any depth reachable at that size
         depth = args.max_size if args.depth is None else args.depth
@@ -172,13 +159,16 @@ def cmd_counter(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .corpus import corpus_complexes, corpus_posets, load_corpus
+    from .pipeline import verify_dim_bd, verify_esakia, verify_hneg, verify_ji, verify_nerve
+
     posets = args.action in ("esakia", "nerve")
     if args.corpus:
-        subjects = corpus_mod.load_corpus(args.corpus, posets)
+        subjects = load_corpus(args.corpus, posets)
     elif posets:
-        subjects = {f"poset{i:03d}": p for i, p in enumerate(corpus_mod.corpus_posets())}
+        subjects = {f"poset{i:03d}": p for i, p in enumerate(corpus_posets())}
     else:
-        subjects = corpus_mod.corpus_complexes()
+        subjects = corpus_complexes()
     if not subjects:
         kind = "poset" if posets else "complex"
         raise MalformedInput(f"{args.corpus} holds no {kind} for suite {args.action}")
@@ -194,6 +184,13 @@ def cmd_suite(args) -> int:
           "\n".join([f"[{n}] {line}" for n, r in reports for line in r.lines()]
                     + ["SUITE " + ("PASS" if ok else "FAIL")]))
     return 0 if ok else 1
+
+
+def cmd_corpus(args) -> int:
+    from .corpus import write_corpus
+
+    write_corpus(args.directory)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="write the bundled corpus to a directory")
     p.add_argument("directory")
-    p.set_defaults(func=lambda a: (corpus_mod.write_corpus(a.directory), 0)[1])
+    p.set_defaults(func=cmd_corpus)
 
     return ap
 

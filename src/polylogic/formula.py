@@ -1,8 +1,9 @@
 """Intuitionistic propositional formulae.
 
-AST nodes are immutable dataclasses. Negation is notation: ``~f`` parses
-to ``Implies(f, Bottom())`` and the printer renders that shape back as
-``~f``. ``true`` is a primitive node so top-valued results print readably.
+AST nodes are immutable ``__slots__`` classes. Negation is notation:
+``~f`` parses to ``Implies(f, Bottom())`` and the printer renders that
+shape back as ``~f``. ``true`` is a primitive node so top-valued results
+print readably.
 
 Concrete grammar (lowest precedence first)::
 
@@ -22,7 +23,6 @@ depth is bounded only by memory.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import MalformedInput, ParseError
 
@@ -32,61 +32,80 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class Bottom:
-    pass
-
-
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-class _Connective:
-    """==, hash and repr without recursion. == is the dataclass equality:
-    the leaves and connective classes in postorder fix the tree, since
-    the classes give the arities."""
+class _Node:
+    """An immutable formula node whose fields are its __slots__, with the ==,
+    hash and repr of a frozen dataclass. None of them recurses: a connective
+    is compared and hashed by its leaves and connective classes in
+    postorder, which fix the tree since the classes give the arities."""
 
     __slots__ = ()
 
-    def _postorder(self) -> list:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _key(self) -> tuple:
+        if not isinstance(self, (And, Or, Implies)):
+            return tuple(getattr(self, name) for name in self.__slots__)
         out: list = []
         fold(self, out.append, lambda g, left, right: out.append(g.__class__))
-        return out
+        return tuple(out)
 
     def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return self._postorder() == other._postorder() if same else NotImplemented
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self._postorder()))
+        return hash(self._key())
 
     def __repr__(self):
-        return _join(fold(self, repr, lambda g, left, right: (
+        return _join(fold(self, _leaf_repr, lambda g, left, right: (
             f"{type(g).__name__}(left=", left, ", right=", right, ")")))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Connective):
-    left: "Formula"
-    right: "Formula"
+def _leaf_repr(g: Formula) -> str:
+    fields = ", ".join(f"{name}={getattr(g, name)!r}" for name in g.__slots__)
+    return f"{type(g).__name__}({fields})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Connective):
-    left: "Formula"
-    right: "Formula"
+def _operands(self, left: Formula, right: Formula):
+    """The __init__ of the connectives."""
+    object.__setattr__(self, "left", left)
+    object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Implies(_Connective):
-    left: "Formula"
-    right: "Formula"
+class Atom(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+
+class Bottom(_Node):
+    __slots__ = ()
+
+
+class Top(_Node):
+    __slots__ = ()
+
+
+class And(_Node):
+    __slots__ = ("left", "right")
+    __init__ = _operands
+
+
+class Or(_Node):
+    __slots__ = ("left", "right")
+    __init__ = _operands
+
+
+class Implies(_Node):
+    __slots__ = ("left", "right")
+    __init__ = _operands
 
 
 Formula = Atom | Bottom | Top | And | Or | Implies
@@ -232,10 +251,13 @@ def pretty(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Generators and queries
 
+BD_MAX = 10_000  # bd(d) has 4d + 5 nodes; bd(BD_MAX) prints in 208 KB
+
+
 def bd(d: int) -> Formula:
-    """Bounded-depth axiom of index d, over atoms p0..pd."""
-    if d < 0:
-        raise MalformedInput("bd index must be >= 0")
+    """Bounded-depth axiom of index d, over atoms p0..pd, for 0 <= d <= BD_MAX."""
+    if not 0 <= d <= BD_MAX:
+        raise MalformedInput(f"bd index must be between 0 and {BD_MAX}")
     f = Or(Atom("p0"), neg(Atom("p0")))
     for k in range(1, d + 1):
         a = Atom(f"p{k}")

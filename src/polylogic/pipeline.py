@@ -10,23 +10,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .algebra import (
-    DEFAULT_BUDGET,
-    FiniteHeyting,
-    _filter_names,
-    _spectrum,
-    eval_formula,
-    is_valid,
-    join_irreducibles,
-    spec,
-    stone_map,
-    valuation_to_json,
-)
+from .algebra import (FiniteHeyting, _filter_names, _spectrum, eval_formula, is_valid,
+                      join_irreducibles, spec, stone_map, valuation_to_json)
 from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, bd, pretty
 from .nerve import PolyhedralCountermodel, _chain_count, _max_map, _maximal_chains, _realize
 from .nerve import transfer_countermodel
-from .poset import DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism, poset_to_json
+from .poset import (DEFAULT_BUDGET, DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism,
+                    poset_to_json)
 from .simplicial import Complex, DefinableSet, co_implication, sample_points
 
 __all__ = [

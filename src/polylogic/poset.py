@@ -13,15 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass, field
 
-from .errors import (
-    CapExceeded,
-    CycleError,
-    MalformedInput,
-    NotMonotone,
-    UnknownElement,
-)
+from .errors import CapExceeded, CycleError, MalformedInput, NotMonotone, UnknownElement
 
 __all__ = [
     "Poset",
@@ -34,6 +27,7 @@ __all__ = [
 ]
 
 DEFAULT_UPSET_CAP = 1 << 20
+DEFAULT_BUDGET = 10**7  # valuations is_valid checks before it refuses
 
 
 class Poset:
@@ -268,29 +262,53 @@ def from_covers(elements, covers) -> Poset:
 # Monotone maps and p-morphisms
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class _Frozen:
+    """A record whose __init__ fills __dict__, immutable after it, with the
+    ==, hash and repr of a frozen dataclass over the fields in _fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class MonotoneMap(_Frozen):
     """A map given by the names of the images of dom.elements, kept as their
-    cod indices; monotone iff up x <= f^-1(up f(x)), i.e. f[up x] <= up f(x)."""
+    cod indices; monotone iff up x <= f^-1(up f(x)), i.e. f[up x] <= up f(x).
+    == and hash compare dom and cod by identity and the mapping. _fibres
+    holds the preimage of each point of cod."""
 
-    dom: Poset
-    cod: Poset
-    mapping: tuple[str, ...]  # image of dom.elements[i]
-    image: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _fibres: list[int] = field(init=False, repr=False, compare=False)  # preimage of each point
+    _fields = ("dom", "cod", "mapping")
 
-    def __post_init__(self):
-        if len(self.mapping) != len(self.dom):
+    def __init__(self, dom: Poset, cod: Poset, mapping: tuple[str, ...]):
+        if len(mapping) != len(dom):
             raise NotMonotone("mapping must be total on the domain")
-        self.cod.mask_of(self.mapping)  # raises UnknownElement
-        object.__setattr__(self, "image", tuple(self.cod.index[name] for name in self.mapping))
-        object.__setattr__(self, "_fibres", _transpose([1 << j for j in self.image], len(self.cod)))
-        for x, fx in enumerate(self.image):
-            bad = self.dom.up[x] & ~self.preimage_mask(self.cod.up[fx])
+        cod.mask_of(mapping)  # raises UnknownElement
+        image = tuple(cod.index[name] for name in mapping)
+        self.__dict__.update(dom=dom, cod=cod, mapping=mapping, image=image,
+                             _fibres=_transpose([1 << j for j in image], len(cod)))
+        for x, fx in enumerate(image):
+            bad = dom.up[x] & ~self.preimage_mask(cod.up[fx])
             if bad:
                 y = (bad & -bad).bit_length() - 1
-                raise NotMonotone(f"{self.dom.elements[x]} <= {self.dom.elements[y]} but "
-                                  f"{self.mapping[x]} !<= {self.mapping[y]}")
+                raise NotMonotone(f"{dom.elements[x]} <= {dom.elements[y]} but "
+                                  f"{mapping[x]} !<= {mapping[y]}")
 
     def __call__(self, name: str) -> str:
         return self.mapping[self.dom.index[name]]

@@ -21,21 +21,12 @@ Up(F(K).op()), PC^o(K) = Up(F(K))). Its algebra is the frame algebra of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    AffinelyDependent,
-    BadCoordinate,
-    DimensionMismatch,
-    DuplicateVertex,
-    MalformedInput,
-    OutsideSupport,
-    PolarityMismatch,
-    UnknownSimplex,
-    WrongDimension,
-)
-from .poset import Poset, is_name_list, json_object
+from .errors import (AffinelyDependent, BadCoordinate, DimensionMismatch, DuplicateVertex,
+                     MalformedInput, OutsideSupport, PolarityMismatch, UnknownSimplex,
+                     WrongDimension)
+from .poset import Poset, _Frozen, is_name_list, json_object
 
 __all__ = [
     "Complex",
@@ -234,26 +225,25 @@ class Complex:
         return DefinableSet(self, polarity, self._face.full_mask)
 
 
-@dataclass(frozen=True)
-class DefinableSet:
+class DefinableSet(_Frozen):
     """A definable subpolyhedron: a down-set (closed) or up-set (open) of
     the face poset, as a mask whose bit i is ``complex.simplices[i]``.
     Set operations are bit operations, the implications those of the face
-    poset; a point is a member iff its carrier is."""
+    poset; a point is a member iff its carrier is. Two sets are equal iff
+    they share the complex object, the polarity and the mask."""
 
-    complex: Complex
-    polarity: str  # "closed" | "open"
-    mask: int
+    _fields = ("complex", "polarity", "mask")
 
-    def __post_init__(self):
-        face = self.complex._face
-        if self.polarity not in ("closed", "open"):
-            raise PolarityMismatch(f"bad polarity {self.polarity!r}")
-        if self.mask < 0 or self.mask >> len(face):
+    def __init__(self, complex: Complex, polarity: str, mask: int):
+        face = complex._face
+        if polarity not in ("closed", "open"):
+            raise PolarityMismatch(f"bad polarity {polarity!r}")
+        if mask < 0 or mask >> len(face):
             raise ValueError("mask has bits outside the complex")
-        closed = self.polarity == "closed"
-        if not (face.is_downset if closed else face.is_upset)(self.mask):
+        closed = polarity == "closed"
+        if not (face.is_downset if closed else face.is_upset)(mask):
             raise PolarityMismatch(f"flags not {'down' if closed else 'up'}-closed")
+        self.__dict__.update(complex=complex, polarity=polarity, mask=mask)
 
     @property
     def flags(self) -> frozenset:
@@ -396,9 +386,17 @@ def _pair_violates(k: Complex, s: SimplexKey, t: SimplexKey) -> bool:
     return _signed_dependency(columns, [v not in t for v in s] + [True] * len(apart))
 
 
-@dataclass
 class ComplexReport:
-    violations: list[tuple[str, str]]
+    def __init__(self, violations: list[tuple[str, str]]):
+        self.violations = violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.violations == other.violations
+
+    def __repr__(self):
+        return f"ComplexReport(violations={self.violations!r})"
 
     @property
     def ok(self):

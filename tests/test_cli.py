@@ -47,7 +47,8 @@ def test_formula_syntax_error_exits_2(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("index", ["x", "-1", "1.5", pytest.param("9" * 5000, id="5000-digits")])
+@pytest.mark.parametrize("index", ["x", "-1", "1.5", pytest.param("9" * 5000, id="5000-digits"),
+                                   pytest.param("1000000000", id="bd-1000000000")])
 def test_formula_bd_bad_index_exits_2_with_one_line(capsys, index):
     code, out, err = run(capsys, "formula", "bd", index)
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
@@ -568,6 +569,34 @@ def test_import_leaves_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+# What a fresh interpreter loads: the package nothing, the loaders of the
+# benchmark's set-up no dataclasses and no algebra, a formula command no algebra.
+_LOADERS = """
+from polylogic.formula import parse
+from polylogic.poset import poset_from_json
+from polylogic.simplicial import complex_from_json
+parse("p -> q | ~r")
+poset_from_json({"elements": ["a", "b"], "covers": [["a", "b"]]})
+complex_from_json({"vertices": {"a": ["0"], "b": ["1/2"]}, "maximal": [["a", "b"]]})
+"""
+_UNUSED = ("polylogic.algebra", "polylogic.nerve", "polylogic.pipeline")
+
+
+@pytest.mark.parametrize("probe, unloaded", [
+    pytest.param("import polylogic", ("polylogic.",), id="package"),
+    pytest.param(_LOADERS, ("dataclasses", "inspect") + _UNUSED, id="loaders"),
+    pytest.param("from polylogic import cli; cli.main(['formula', 'print', 'p'])", _UNUSED,
+                 id="cli-formula"),
+])
+def test_a_cold_start_loads_only_what_it_uses(probe, unloaded):
+    src = str(Path(polylogic.__file__).resolve().parents[1])
+    script = (f"import sys\nbefore = set(sys.modules)\n{probe}\n"
+              f"print(sorted(m for m in set(sys.modules) - before if m.startswith({unloaded!r})))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_oracles_leave_numpy_out():
     paths = [str(Path(polylogic.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     probe = "import sys, oracles; print('numpy' in sys.modules)"
@@ -647,8 +676,8 @@ def _cli_cases(draw):
     argv.append(command)
     if command == "formula":
         action = draw(st.sampled_from(["parse", "print", "bd"]))
-        argv += [action, draw(st.sampled_from(["0", "1", "3", "-1", "x"]) if action == "bd"
-                              else _FORMULAS)]
+        indices = st.sampled_from(["0", "1", "3", "-1", "x", "1000000000"])
+        argv += [action, draw(indices if action == "bd" else _FORMULAS)]
     elif command == "poset":
         argv += [draw(st.sampled_from(["depth", "upsets"])), "POSET"]
     elif command == "frame":

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -6,6 +9,7 @@ from polylogic.algebra import eval_formula, is_valid
 from polylogic.cli import _ast
 from polylogic.errors import MalformedInput, ParseError
 from polylogic.formula import (
+    BD_MAX,
     And,
     Atom,
     Bottom,
@@ -60,6 +64,41 @@ def test_bd_schema():
     with pytest.raises(MalformedInput):
         bd(-1)
     assert issubclass(MalformedInput, ValueError)
+
+
+def test_bd_refuses_indices_above_its_limit():
+    assert atoms(bd(BD_MAX))[0] == f"p{BD_MAX}"
+    for d in (BD_MAX + 1, 10**9, 10**5000):
+        with pytest.raises(MalformedInput, match="between 0 and"):
+            bd(d)
+
+
+_NODE_TEXTS = ["p", "false", "true", "p & true", "false | q", "~p"]
+
+
+@pytest.mark.parametrize("text", _NODE_TEXTS)
+def test_nodes_are_immutable(text):
+    node = parse(text)
+    for name in ("name", "left", "right", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Atom("x"))
+    for name in ("name", "left", "right"):
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert copy.copy(node) == node == pickle.loads(pickle.dumps(node)) == parse(text)
+
+
+def test_nodes_compare_by_class_and_fields():
+    nodes = [Atom("p"), Bottom(), Top(), And(Atom("p"), Top()), Or(Bottom(), Atom("q")),
+             Implies(Atom("p"), Bottom())]
+    assert Top() != Bottom() and Atom("p") != "p" and "p" != Atom("p") and Atom("p") != Atom("q")
+    assert And(Atom("p"), Top()) != Or(Atom("p"), Top()) and neg(Top()) != neg(Bottom())
+    for f, g in zip(nodes, map(parse, _NODE_TEXTS)):
+        assert f == g and g is not f and hash(f) == hash(g)
+        assert [f == h for h in nodes] == [h is f for h in nodes]
+    assert [repr(f) for f in nodes] == [
+        "Atom(name='p')", "Bottom()", "Top()", "And(left=Atom(name='p'), right=Top())",
+        "Or(left=Bottom(), right=Atom(name='q'))", "Implies(left=Atom(name='p'), right=Bottom())"]
 
 
 def test_atoms_in_first_occurrence_order():

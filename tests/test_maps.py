@@ -7,22 +7,19 @@ only higher indices, agrees with the oracles on a linear extension and
 drops chains elsewhere.
 """
 
-import importlib
 import itertools
 import random
 
 import pytest
 
 import oracles
-from polylogic import pipeline
+from polylogic import nerve as nerve_mod, pipeline  # the module; nerve below is its function
 from polylogic.algebra import is_valid
 from polylogic.errors import NotMonotone
 from polylogic.formula import parse
 from polylogic.nerve import max_pmorphism, nerve, realize, transfer_countermodel
 from polylogic.pipeline import verify_nerve
 from polylogic.poset import MonotoneMap, Poset, enumerate_posets, is_pmorphism
-
-nerve_mod = importlib.import_module("polylogic.nerve")  # the package exports nerve() by that name
 
 
 def relabelled(p, order):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -462,6 +463,23 @@ def test_monotone_map_validation():
     MonotoneMap(p, q, ("c0", "c0", "c1"))
     with pytest.raises(NotMonotone):
         MonotoneMap(p, q, ("c1", "c0", "c1"))
+    with pytest.raises(NotMonotone, match="total"):
+        MonotoneMap(p, q, ("c0", "c0"))
+    with pytest.raises(UnknownElement):
+        MonotoneMap(p, q, ("c0", "c0", "c2"))
+
+
+def test_monotone_maps_are_immutable_and_compare_by_their_fields():
+    p, q = chain(3), chain(2)
+    f, g = MonotoneMap(p, q, ("c0", "c0", "c1")), MonotoneMap(p, q, ("c0", "c0", "c1"))
+    for name in ("dom", "cod", "mapping", "image", "_fibres", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    with pytest.raises(AttributeError):
+        del f.mapping
+    assert f == g and hash(f) == hash(g) and f.image == (0, 0, 1) and copy.copy(f) == f
+    assert f != MonotoneMap(p, q, ("c0", "c1", "c1")) and f != f.mapping
+    assert repr(f) == f"MonotoneMap(dom={p!r}, cod={q!r}, mapping=('c0', 'c0', 'c1'))"
 
 
 def test_pmorphism_back_condition():

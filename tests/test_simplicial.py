@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from polylogic.errors import (
     WrongDimension,
 )
 from polylogic.simplicial import (
+    ComplexReport,
+    DefinableSet,
     barycentric_coordinates,
     build_complex,
     co_implication,
@@ -194,6 +197,40 @@ def test_definable_polarity_validation():
         closed.union(opened)
     with pytest.raises(PolarityMismatch):
         k.definable("closed", [("a", "b")])  # missing the faces a, b
+
+
+def test_definable_set_inputs_are_checked():
+    k = square()
+    for polarity, mask, error in [("half", 0, PolarityMismatch), ("closed", -1, ValueError),
+                                  ("open", 1 << len(k), ValueError),
+                                  ("closed", 1 << k.index[("a", "b")], PolarityMismatch),
+                                  ("open", 1 << k.index[("a",)], PolarityMismatch)]:
+        with pytest.raises(error):
+            DefinableSet(k, polarity, mask)
+
+
+def test_definable_sets_are_immutable_and_equal_on_one_complex_object():
+    k, twin = square(), square()
+    s = k.definable("closed", faces_of(k, ("a", "b")))
+    for name in ("complex", "polarity", "mask", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+    with pytest.raises(AttributeError):
+        del s.mask
+    same = DefinableSet(k, "closed", s.mask)
+    assert s == same and hash(s) == hash(same) and s != (k, "closed", s.mask) and copy.copy(s) == s
+    assert s != twin.definable("closed", faces_of(twin, ("a", "b")))  # an equal complex
+    assert s != k.definable("closed", faces_of(k, ("a",)))
+    assert k.full_set("closed") != k.full_set("open") and k.full_set("open") == k.full_set("open")
+    assert repr(s) == f"DefinableSet(complex={k!r}, polarity='closed', mask={s.mask!r})"
+
+
+def test_complex_report_compares_and_prints_its_violations():
+    rep = verify_complex(square())
+    assert rep == ComplexReport([]) and rep.ok and rep != ComplexReport([("a", "b")])
+    assert repr(rep) == "ComplexReport(violations=[])"
+    with pytest.raises(TypeError):
+        hash(rep)
 
 
 def test_complement_swaps_polarity():
