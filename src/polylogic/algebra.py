@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .errors import BudgetExceeded, MalformedInput, MissingAtom, NotPMorphism, SoundnessError
+from .errors import MalformedInput, MissingAtom, NotPMorphism, SoundnessError
 from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
-from .poset import (DEFAULT_BUDGET, DEFAULT_UPSET_CAP, MonotoneMap, Poset, _cover_rows, _union,
-                    is_name_list, is_pmorphism, json_object)
+from .poset import (MonotoneMap, Poset, _cover_rows, _union, charge, is_name_list, is_pmorphism,
+                    json_object)
 
 __all__ = [
     "FiniteHeyting",
@@ -46,9 +46,9 @@ class FiniteHeyting:
     0 and frame.full_mask, and frame.imp.
     """
 
-    def __init__(self, frame: Poset, cap: int = DEFAULT_UPSET_CAP):
+    def __init__(self, frame: Poset):
         self.frame = frame
-        self.carrier: list[int] = frame.all_upsets(cap)
+        self.carrier: list[int] = frame.all_upsets()
         self._tables = None
 
     def __len__(self):
@@ -136,13 +136,7 @@ def _eval_sliced(f: Formula, env, ups, ones) -> list[int]:
     return fold(f, leaf, node)
 
 
-def is_valid(
-    frame: Poset,
-    f: Formula,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = DEFAULT_UPSET_CAP,
-    algebra: FiniteHeyting | None = None,
-) -> ValidityResult:
+def is_valid(frame: Poset, f: Formula, algebra: FiniteHeyting | None = None) -> ValidityResult:
     """Exhaustive validity check of f over Up(frame).
 
     Valuations are enumerated lexicographically: atoms in first-occurrence
@@ -150,7 +144,7 @@ def is_valid(
     in that order is returned, and ``checked`` is its 1-based position in
     that order (all m**k valuations when f is valid): the number of
     valuations the search has covered, not the number it evaluated. Raises
-    BudgetExceeded before starting if m**k is larger than the budget.
+    BudgetExceeded before starting if m**k is larger than the active budget.
 
     f is valid on a finite frame iff it is valid on the subframe up(x)
     generated by each minimal point x, its star (the generated-subframe
@@ -161,15 +155,14 @@ def is_valid(
     star validates f, f is valid; if one refutes it, the whole-frame
     search runs as usual and names the frame's first refuting valuation.
     """
-    h = algebra if algebra is not None else FiniteHeyting(frame, cap)
+    h = algebra if algebra is not None else FiniteHeyting(frame)
     names = atoms(f)
     m, k = len(h), len(names)
     total = m**k
-    if total > budget:
-        raise BudgetExceeded(total)
+    charge("valuations", total)
     minimal = [x for x, down in enumerate(h.frame.down) if down == 1 << x]
     if total > _BATCH and len(minimal) > 1:
-        stars = [FiniteHeyting(_generated(h.frame, x), cap) for x in minimal]
+        stars = [FiniteHeyting(_generated(h.frame, x)) for x in minimal]
         if sum(len(s) ** k for s in stars) < total and all(
                 _first_refutation(s, f, names) is None for s in stars):
             return ValidityResult(True, None, total)
@@ -305,9 +298,9 @@ def stone_map(h: FiniteHeyting):
     return mapping, sp, _cover_failures(mapping, h.frame, sp)
 
 
-def up_of_pmorphism(f: MonotoneMap, cap: int = DEFAULT_UPSET_CAP):
+def up_of_pmorphism(f: MonotoneMap):
     """Dual homomorphism Up(B) -> Up(A) of a p-morphism f: A -> B, as a
-    dict from Up(B) masks, enumerated under cap, to Up(A) masks (preimage).
+    dict from Up(B) masks, enumerated under the active cap, to Up(A) masks (preimage).
 
     Preimage commutes with meet, join and complement, and U -> V is the
     complement of down(U minus V): so -> is preserved, as checked, iff each
@@ -321,7 +314,7 @@ def up_of_pmorphism(f: MonotoneMap, cap: int = DEFAULT_UPSET_CAP):
             name = f.cod.elements[y]
             raise SoundnessError(f"dual map is not a Heyting homomorphism: f^-1(down {name}) "
                                  f"is not down f^-1({name})")
-    mapping = {u: f.preimage_mask(u) for u in FiniteHeyting(f.cod, cap).carrier}
+    mapping = {u: f.preimage_mask(u) for u in FiniteHeyting(f.cod).carrier}
     if f.is_surjective() and len(set(mapping.values())) != len(mapping):
         raise SoundnessError("dual map of a surjective p-morphism is not injective")
     return mapping

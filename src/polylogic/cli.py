@@ -15,7 +15,7 @@ import sys
 
 from .errors import MalformedInput, PolylogicError
 from .formula import And, Implies, Or, _join, bd, fold, parse, pretty
-from .poset import DEFAULT_BUDGET, DEFAULT_UPSET_CAP, poset_from_json, read_text
+from .poset import DEFAULT_BUDGET, DEFAULT_UPSET_CAP, limits, poset_from_json, read_text
 
 # Each cmd_* imports the rest of what it uses, so a command loads only its own modules.
 
@@ -67,7 +67,7 @@ def cmd_poset(args) -> int:
     if args.action == "depth":
         print(p.depth())
     else:  # upsets
-        for mask in p.all_upsets(args.cap):
+        for mask in p.all_upsets():
             print(_set_text(p.names_of(mask)))
     return 0
 
@@ -84,7 +84,7 @@ def cmd_frame(args) -> int:
         _emit(args, {"value": frame.names_of(mask), "top": top},
               ("TOP = " if top else "value: ") + _set_text(frame.names_of(mask)))
         return 0 if top else 1
-    res = is_valid(frame, f, budget=args.budget, cap=args.cap)
+    res = is_valid(frame, f)
     if res.valid:
         _emit(args, {"status": "Valid", "checked": res.checked},
               f"Valid, {res.checked} valuations checked")
@@ -147,9 +147,9 @@ def cmd_counter(args) -> int:
     f = parse(args.formula)
     if args.polyhedral:  # without --depth, any depth reachable at that size
         depth = args.max_size if args.depth is None else args.depth
-        v = polyhedral_countermodel(f, depth, args.max_size, args.budget)
+        v = polyhedral_countermodel(f, depth, args.max_size)
     else:
-        v = find_frame_countermodel(f, args.max_size, args.depth, args.budget)
+        v = find_frame_countermodel(f, args.max_size, args.depth)
     _emit(args, v.to_json())
     code = 1 if v.refuted else 0
     if args.expect:
@@ -172,12 +172,9 @@ def cmd_suite(args) -> int:
     if not subjects:
         kind = "poset" if posets else "complex"
         raise MalformedInput(f"{args.corpus} holds no {kind} for suite {args.action}")
-    check = {"esakia": lambda p: verify_esakia(p, args.cap),
-             "nerve": lambda p: verify_nerve(p, args.cap),
-             "dimbd": lambda k: verify_dim_bd(k, args.budget, args.cap),
-             "ji": lambda k: verify_ji(k, args.cap),
-             "hneg": lambda k: verify_hneg(k, max(1, args.trials // len(subjects)), args.seed),
-             }[args.action]
+    trials = max(1, args.trials // len(subjects))
+    check = {"esakia": verify_esakia, "nerve": verify_nerve, "dimbd": verify_dim_bd,
+             "ji": verify_ji, "hneg": lambda k: verify_hneg(k, trials, args.seed)}[args.action]
     reports = [(n, check(s)) for n, s in subjects.items()]
     ok = all(r.ok for _, r in reports)
     _emit(args, {"ok": ok, "reports": [{"subject": n, **r.to_json()} for n, r in reports]},
@@ -286,7 +283,8 @@ def main(argv=None) -> int:
     if args.command == "complex" and args.action in ("star", "carrier") and args.arg is None:
         ap.error(f"complex {args.action} needs ARG before FILE")
     try:
-        return args.func(args)
+        with limits(**{k: v for k, v in vars(args).items() if k in ("cap", "budget")}):
+            return args.func(args)
     except BrokenPipeError:
         # the reader has gone (`| head`): what is left goes to the null device,
         # so that the flush at exit fails neither loudly nor with an exit code

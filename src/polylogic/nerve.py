@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 from . import poset
 from .algebra import eval_formula, valuation_to_json
-from .errors import CapExceeded, EmptyPoset, NotACountermodel, SoundnessError
+from .errors import EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
-from .poset import DEFAULT_UPSET_CAP, MonotoneMap, Poset, _cover_rows
+from .poset import MonotoneMap, Poset, _cover_rows, charge
 from .simplicial import Complex, DefinableSet, _separator, build_complex, complex_to_json
 
 __all__ = [
@@ -21,16 +21,14 @@ __all__ = [
 ]
 
 
-def _maximal_chains(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
+def _maximal_chains(a: Poset) -> list[int]:
     """The maximal chains as element masks: the paths from a minimal point up
     through upper covers to a maximal point. Raises CapExceeded when a has more
-    than cap nonempty chains, and MalformedInput on an element name holding ","."""
+    nonempty chains than the active cap, and MalformedInput on a name holding ","."""
     if len(a) == 0:
         raise EmptyPoset("the empty poset has no nonempty chains")
     _separator(a.elements)
-    count = _chain_count(a)
-    if count > cap:
-        raise CapExceeded(count, f"more than {cap} chains, the enumeration cap")
+    charge("chains", _chain_count(a))
     upper, out = _cover_rows(a.up), []
     stack = [(1 << x, x) for x in range(len(a)) if a.down[x] == 1 << x]
     while stack:

@@ -16,8 +16,7 @@ from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, bd, pretty
 from .nerve import PolyhedralCountermodel, _chain_count, _max_map, _maximal_chains, _realize
 from .nerve import transfer_countermodel
-from .poset import (DEFAULT_BUDGET, DEFAULT_UPSET_CAP, Poset, enumerate_posets, is_pmorphism,
-                    poset_to_json)
+from .poset import Poset, enumerate_posets, is_pmorphism, poset_to_json
 from .simplicial import Complex, DefinableSet, co_implication, sample_points
 
 __all__ = [
@@ -86,12 +85,7 @@ def _rooted_frames(n: int, max_depth: int | None):
                         _down=[1, *(d << 1 | 1 for d in p.down)])
 
 
-def find_frame_countermodel(
-    f: Formula,
-    max_size: int,
-    max_depth: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Verdict:
+def find_frame_countermodel(f: Formula, max_size: int, max_depth: int | None = None) -> Verdict:
     """First refuting rooted frame of size <= max_size and depth <= max_depth.
 
     Rooted frames suffice: if f is refuted at a point w of a frame A, it is
@@ -103,8 +97,8 @@ def find_frame_countermodel(
     Witness order: sizes ascending, then ascending canonical form of the
     poset above the root. ``bounds["searched_size"]`` is the largest n such
     that every frame of size <= n was searched without a refutation. When a
-    frame's valuation space exceeds the budget at size n, the search stops
-    there and reports NoCountermodelUpToBound with searched_size n - 1.
+    frame's valuation space exceeds the active budget at size n, the search
+    stops there and reports NoCountermodelUpToBound with searched_size n - 1.
 
     The poset classes come from enumerate_posets, which computes each size
     once per process, so later searches in the process (to any size and
@@ -114,7 +108,7 @@ def find_frame_countermodel(
     for n in range(1, max_size + 1):
         for frame in _rooted_frames(n, max_depth):
             try:
-                res = is_valid(frame, f, budget=budget)
+                res = is_valid(frame, f)
             except BudgetExceeded:
                 bounds["searched_size"] = n - 1
                 return Verdict(NO_COUNTERMODEL, f, bounds)
@@ -131,20 +125,16 @@ def find_frame_countermodel(
     return Verdict(NO_COUNTERMODEL, f, bounds)
 
 
-def decide_in_bd_logic(
-    f: Formula, d: int, max_size: int, budget: int = DEFAULT_BUDGET
-) -> Verdict:
+def decide_in_bd_logic(f: Formula, d: int, max_size: int) -> Verdict:
     """Search for a countermodel among frames of depth <= d. A refutation
     witnesses f outside IPC + BD_d; absence is only absence up to bound."""
-    return find_frame_countermodel(f, max_size, max_depth=d, budget=budget)
+    return find_frame_countermodel(f, max_size, max_depth=d)
 
 
-def polyhedral_countermodel(
-    f: Formula, d: int, max_size: int, budget: int = DEFAULT_BUDGET
-) -> Verdict:
+def polyhedral_countermodel(f: Formula, d: int, max_size: int) -> Verdict:
     """Frame countermodel of depth <= d transferred to a polyhedron of
     dimension <= d through the nerve."""
-    verdict = decide_in_bd_logic(f, d, max_size, budget)
+    verdict = decide_in_bd_logic(f, d, max_size)
     if not verdict.refuted:
         return verdict
     pcm = transfer_countermodel(verdict.frame, verdict.valuation, f)
@@ -196,17 +186,13 @@ class Report:
             yield f"{'PASS' if ok else 'FAIL'}  {lab}{suffix}"
 
 
-def verify_dim_bd(
-    k: Complex,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = DEFAULT_UPSET_CAP,
-) -> Report:
+def verify_dim_bd(k: Complex) -> Report:
     """Certify that the definable open algebra of k validates BD_dim and
     refutes BD_(dim-1).
 
     The prime-filter-chain characterisation is always certified; the
     direct exhaustive valuation search runs additionally whenever the
-    valuation space fits the budget (it is equivalent via the up-set
+    valuation space fits the active budget (it is equivalent via the up-set
     isomorphism, and exponentially more expensive). Exhaustive means star
     by star when that pays: is_valid proves BD_dim on the open star of each
     vertex, the subframe its vertex generates, and reports the m**k
@@ -218,13 +204,13 @@ def verify_dim_bd(
         rep.add("nonempty", False, "empty complex")
         return rep
     face = k.face_poset()
-    h, depth = FiniteHeyting(face, cap), face.depth()
+    h, depth = FiniteHeyting(face), face.depth()
     rep.add(f"dim={d} equals face-poset depth", depth == d)
     rep.add(f"longest prime-filter chain = {d + 1}", spec(h).depth() == d)
     for e in (d, d - 1) if d else (d,):
         want = e == d  # BD_d valid, BD_(d-1) refuted
         try:
-            res = is_valid(face, bd(e), budget=budget, cap=cap, algebra=h)
+            res = is_valid(face, bd(e), algebra=h)
         except BudgetExceeded as over:
             verdict = "valid" if want else "refuted"
             rep.add(f"BD_{e} {verdict} (via depth characterisation; search space {over.count} "
@@ -237,14 +223,14 @@ def verify_dim_bd(
     return rep
 
 
-def verify_ji(k: Complex, cap: int = DEFAULT_UPSET_CAP) -> Report:
+def verify_ji(k: Complex) -> Report:
     """Join-irreducibles of the definable algebras, PC^o(K) as Up(face),
     enumerated once, and PC^c(K) as Up(face.op()), read off it, and the longest
     prime-filter chain, read off the spectrum of each join-irreducible list."""
     rep = Report("ji")
     face = k.face_poset()
     n, d = len(face), k.dim()
-    h = FiniteHeyting(face, cap)
+    h = FiniteHeyting(face)
     jis_o = join_irreducibles(h)
     jis_c = join_irreducibles(h.op())
     rep.add(f"JI(PC^c) = principal down-sets of the {n} simplices", jis_c == sorted(face.down))
@@ -259,12 +245,12 @@ def verify_ji(k: Complex, cap: int = DEFAULT_UPSET_CAP) -> Report:
     return rep
 
 
-def verify_esakia(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> Report:
+def verify_esakia(a: Poset) -> Report:
     """Spec(Up(A)) iso A by x -> the prime filter generated by up(x) (Birkhoff:
     JI(Up(A)) = {up(x)}), and the Stone map on covers; Up(A) is enumerated
-    once, under cap, and Spec(Up(A)) is the one stone_map builds."""
+    once, under the active cap, and Spec(Up(A)) is the one stone_map builds."""
     rep = Report("esakia")
-    _, sp, failures = stone_map(FiniteHeyting(a, cap))
+    _, sp, failures = stone_map(FiniteHeyting(a))
     principal = dict(zip(a.elements, _filter_names(a, a.up)))  # x -> the name of F_up(x)
     rep.add(f"spec(Up(A)) iso A (|A|={len(a)})", a.is_order_isomorphism(sp, principal))
     rep.add(
@@ -323,15 +309,15 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
     return rep
 
 
-def verify_nerve(a: Poset, cap: int = DEFAULT_UPSET_CAP) -> Report:
+def verify_nerve(a: Poset) -> Report:
     """The realization of a and its max map, read off one list of the maximal
-    chains of a, which has at most cap chains. Its face poset is the chains
-    under inclusion iff there are as many simplices as chains, as many up pairs
-    as down pairs, and each simplex s is a chain whose rows hold s, with
-    2^|s| - 1 faces, and whose one-vertex deletions t are simplices with
+    chains of a, which has no more chains than the active cap. Its face poset
+    is the chains under inclusion iff there are as many simplices as chains, as
+    many up pairs as down pairs, and each simplex s is a chain whose rows hold
+    s, with 2^|s| - 1 faces, and whose one-vertex deletions t are simplices with
     down(t) <= down(s) and up(s) <= up(t) (induct on |s|)."""
     rep = Report("nerve")
-    k = _realize(a, _maximal_chains(a, cap))
+    k = _realize(a, _maximal_chains(a))
     rep.add(f"depth(A)={a.depth()} equals dim(realize(A))", k.dim() == a.depth())
     face = k.face_poset()
     bad = next((i for i in range(len(k)) if not _is_chain_face(a, k, i)), None)

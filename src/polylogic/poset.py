@@ -10,11 +10,13 @@ up-sets of ``P.op()``, so only up-sets are enumerated.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import json
 import threading
 
-from .errors import CapExceeded, CycleError, MalformedInput, NotMonotone, UnknownElement
+from .errors import BudgetExceeded, CapExceeded, CycleError, MalformedInput, NotMonotone, UnknownElement
 
 __all__ = [
     "Poset",
@@ -24,10 +26,33 @@ __all__ = [
     "enumerate_posets",
     "poset_from_json",
     "poset_to_json",
+    "limits",
 ]
 
-DEFAULT_UPSET_CAP = 1 << 20
+DEFAULT_UPSET_CAP = 1 << 20  # up-sets or chains one enumeration may hold
 DEFAULT_BUDGET = 10**7  # valuations is_valid checks before it refuses
+_LIMITS = contextvars.ContextVar("limits", default=(DEFAULT_UPSET_CAP, DEFAULT_BUDGET))
+
+
+@contextlib.contextmanager
+def limits(*, cap: int = DEFAULT_UPSET_CAP, budget: int = DEFAULT_BUDGET):
+    """Inside the block, in this thread only, each charge is held to this cap or budget."""
+    token = _LIMITS.set((cap, budget))
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
+
+
+def charge(kind: str, n: int) -> None:
+    """Refuse n upsets, chains or valuations, before they are built, over their kind's limit."""
+    cap, budget = _LIMITS.get()
+    if kind == "valuations":
+        if n > budget:
+            raise BudgetExceeded(n)
+    elif n > cap:
+        raise CapExceeded(n, f"more than {cap} chains, the enumeration cap" if kind == "chains"
+                          else None)
 
 
 class Poset:
@@ -141,17 +166,16 @@ class Poset:
 
     # -- up-set enumeration ----------------------------------------------
 
-    def all_upsets(self, cap: int = DEFAULT_UPSET_CAP) -> list[int]:
+    def all_upsets(self) -> list[int]:
         """Every up-set as a bitmask, ascending; CapExceeded as soon as more
-        than cap are found. Grown maximal-first (smallest principal up-set
-        first): each up-set of the elements seen so far that holds all of
-        up(x) minus x gains a copy with x added. One sort at the end."""
+        than the active cap are found. Grown maximal-first (smallest principal
+        up-set first): each up-set of the elements seen so far that holds all
+        of up(x) minus x gains a copy with x added. One sort at the end."""
         out = [0]
         for i in sorted(range(len(self.elements)), key=lambda i: self.up[i].bit_count()):
             bit, above = 1 << i, self.up[i] & ~(1 << i)
             out += [u | bit for u in out if u & above == above]
-            if len(out) > cap:
-                raise CapExceeded(len(out))
+            charge("upsets", len(out))
         return sorted(out)
 
     # -- isomorphism ------------------------------------------------------

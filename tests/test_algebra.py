@@ -30,7 +30,7 @@ from polylogic.errors import (
 )
 from polylogic.formula import bd, parse
 from polylogic.pipeline import verify_esakia
-from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers, is_pmorphism
+from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers, is_pmorphism, limits
 
 
 def chain(n):
@@ -120,8 +120,8 @@ def test_intuitionistic_theorems_valid_everywhere():
 
 def test_budget_exceeded():
     p = fork()
-    with pytest.raises(BudgetExceeded):
-        is_valid(p, parse("p | q | r | s"), budget=10)
+    with limits(budget=10), pytest.raises(BudgetExceeded):
+        is_valid(p, parse("p | q | r | s"))
 
 
 def test_validity_checked_counts():
@@ -269,8 +269,8 @@ def test_esakia_scales_with_covers_not_pairs():
 
 def test_inner_algebras_take_the_callers_cap():
     f = MonotoneMap(fork(), fork(), ("r", "x", "y"))
-    with pytest.raises(CapExceeded):
-        up_of_pmorphism(f, cap=len(FiniteHeyting(fork())) - 1)
+    with limits(cap=len(FiniteHeyting(fork())) - 1), pytest.raises(CapExceeded):
+        up_of_pmorphism(f)
 
 
 def test_algebra_depth():

@@ -26,7 +26,7 @@ from polylogic.pipeline import (
     verify_ji,
     verify_nerve,
 )
-from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers
+from polylogic.poset import MonotoneMap, Poset, enumerate_posets, from_covers, limits
 from polylogic.simplicial import DefinableSet, build_complex
 
 
@@ -192,7 +192,8 @@ def test_budget_stops_the_search_at_the_last_full_size():
     v = find_frame_countermodel(f, max_size=6)
     assert v.status == NO_COUNTERMODEL
     assert v.bounds["searched_size"] == 5
-    v = find_frame_countermodel(f, max_size=6, budget=1)
+    with limits(budget=1):
+        v = find_frame_countermodel(f, max_size=6)
     assert v.status == NO_COUNTERMODEL and v.bounds["searched_size"] == 0
 
 

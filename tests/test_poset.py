@@ -22,6 +22,7 @@ from polylogic.poset import (
     enumerate_posets,
     from_covers,
     is_pmorphism,
+    limits,
     poset_from_json,
     poset_to_json,
 )
@@ -196,16 +197,16 @@ def test_all_upsets_are_sorted_and_capped():
     p = fork()
     ups = p.all_upsets()
     assert ups == sorted(ups)
-    with pytest.raises(CapExceeded):
-        p.all_upsets(cap=3)
+    with limits(cap=3), pytest.raises(CapExceeded):
+        p.all_upsets()
 
 
 def test_growth_stops_at_the_cap():
     # a 40-antichain has 2**40 up-sets; growth doubles the list once per
     # element and stops at the first doubling past the cap
     p = Poset([f"a{i}" for i in range(40)], [1 << i for i in range(40)])
-    with pytest.raises(CapExceeded) as exc:
-        p.all_upsets(cap=1024)
+    with limits(cap=1024), pytest.raises(CapExceeded) as exc:
+        p.all_upsets()
     assert 1024 < exc.value.count <= 2 * 1024 + 1
 
 
