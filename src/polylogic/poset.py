@@ -31,6 +31,7 @@ __all__ = [
 
 DEFAULT_UPSET_CAP = 1 << 20  # up-sets or chains one enumeration may hold
 DEFAULT_BUDGET = 10**7  # valuations is_valid checks before it refuses
+FACE_CAP = 1 << 15  # faces of one complex, fixed: N faces hold up to N**2 / 4 bytes of rows
 _LIMITS = contextvars.ContextVar("limits", default=(DEFAULT_UPSET_CAP, DEFAULT_BUDGET))
 
 
@@ -45,11 +46,15 @@ def limits(*, cap: int = DEFAULT_UPSET_CAP, budget: int = DEFAULT_BUDGET):
 
 
 def charge(kind: str, n: int) -> None:
-    """Refuse n upsets, chains or valuations, before they are built, over their kind's limit."""
+    """Refuse n upsets, chains, valuations or faces, before they are built, over
+    their kind's limit."""
     cap, budget = _LIMITS.get()
     if kind == "valuations":
         if n > budget:
             raise BudgetExceeded(n)
+    elif kind == "faces":
+        if n > FACE_CAP:
+            raise CapExceeded(n, f"more than {FACE_CAP} faces, the face cap")
     elif n > cap:
         raise CapExceeded(n, f"more than {cap} chains, the enumeration cap" if kind == "chains"
                           else None)

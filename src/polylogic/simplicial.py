@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import (AffinelyDependent, BadCoordinate, DimensionMismatch, DuplicateVertex,
                      MalformedInput, OutsideSupport, PolarityMismatch, UnknownSimplex,
                      WrongDimension)
-from .poset import Poset, _Frozen, is_name_list, json_object
+from .poset import Poset, _Frozen, charge, is_name_list, json_object
 
 __all__ = [
     "Complex",
@@ -298,7 +298,8 @@ def co_implication(c: DefinableSet, d: DefinableSet) -> DefinableSet:
 def build_complex(vertices: dict, maximal_simplices) -> Complex:
     """Close the listed simplices under faces, checking exact affine
     independence of every listed simplex. Vertex ids may not hold ",", which
-    joins the ids in a simplex name."""
+    joins the ids in a simplex name. A listed simplex is charged its faces
+    before they are listed, and the complex its distinct faces so far."""
     _separator(vertices)
     verts: dict[str, Point] = {}
     ambient = None
@@ -328,10 +329,12 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
         for v in ids:
             if v not in verts:
                 raise MalformedInput(f"simplex references unknown vertex {v!r}")
+        charge("faces", (1 << len(ids)) - 1)
         if not affinely_independent([verts[v] for v in ids]):
             raise AffinelyDependent(ids)
         simplices.update(tuple(v for b, v in enumerate(ids) if mask >> b & 1)
                          for mask in range(1, 1 << len(ids)))  # every nonempty face
+        charge("faces", len(simplices))
     return Complex(verts, simplices, ambient)
 
 

@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from polylogic.cli import main
 from polylogic.corpus import write_corpus
 from polylogic.errors import MalformedInput
 from polylogic.formula import atoms, parse
-from polylogic.simplicial import build_complex
+from polylogic.simplicial import Complex, build_complex
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +214,53 @@ def test_nerve_realize_refuses_over_2_20_chains(capsys, tmp_path, n):
     # a 21-chain has 2**21 - 1 nonempty chains, a 1100-chain about 2**1100
     code, out, err = run(capsys, "nerve", "realize", str(_chain_file(tmp_path / "c.json", n)))
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" chains, the enumeration cap\n")
+
+
+def _simplex_file(path, k):
+    """One simplex on the k standard basis vectors of R^k: 2**k - 1 faces in under 1 KB."""
+    names = [f"v{i}" for i in range(k)]
+    vertices = {v: [str(int(i == j)) for j in range(k)] for i, v in enumerate(names)}
+    return _write(path, json.dumps({"vertices": vertices, "maximal": [names]}))
+
+
+# Small files whose complexes have 2**16 - 1 to 2**20 - 1 faces: a 16-vertex
+# simplex took 914 MB to build and an 18-vertex one was killed at 7.7 GB
+_AMPLIFIERS = [("complex dim", 16), ("complex dim", 18), ("complex dim", 20),
+               ("nerve realize", 16), ("nerve realize", 20)]
+
+
+def _amplifier_argv(tmp_path, command, k):
+    path = (_simplex_file if command == "complex dim" else _chain_file)(tmp_path / "in.json", k)
+    return [*command.split(), str(path)]
+
+
+@pytest.mark.parametrize("command, k", _AMPLIFIERS)
+def test_many_faces_are_refused_before_the_complex_is_built(capsys, tmp_path, monkeypatch,
+                                                           command, k):
+    def built(*args):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(Complex, "__init__", built)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *_amplifier_argv(tmp_path, command, k))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: more than 32768 faces, the face cap\n")
+
+
+@pytest.mark.parametrize("command, k", _AMPLIFIERS)
+def test_many_faces_are_refused_within_512_mb(tmp_path, command, k):
+    # the limit is the child's alone, so a missed refusal fails this test, not the machine
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = str(Path(polylogic.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "polylogic.cli",
+                           *_amplifier_argv(tmp_path, command, k)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=limit_memory, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: more than 32768 faces, the face cap\n"
 
 
 def test_frame_check_answers_64_and_65_elements(capsys, tmp_path):
