@@ -37,7 +37,7 @@ _LIMITS = contextvars.ContextVar("limits", default=(DEFAULT_UPSET_CAP, DEFAULT_B
 
 @contextlib.contextmanager
 def limits(*, cap: int = DEFAULT_UPSET_CAP, budget: int = DEFAULT_BUDGET):
-    """Inside the block, in this thread only, each charge is held to this cap or budget."""
+    """In the block and this thread, up-sets and chains are charged to cap, valuations to budget."""
     token = _LIMITS.set((cap, budget))
     try:
         yield
@@ -47,7 +47,7 @@ def limits(*, cap: int = DEFAULT_UPSET_CAP, budget: int = DEFAULT_BUDGET):
 
 def charge(kind: str, n: int) -> None:
     """Refuse n upsets, chains, valuations or faces, before they are built, over
-    their kind's limit."""
+    their kind's limit. Each charge is compared alone, not added to a total."""
     cap, budget = _LIMITS.get()
     if kind == "valuations":
         if n > budget:

@@ -22,10 +22,13 @@ def _refused(kind, n):
     return False
 
 
+def _at_default(kind, limit):
+    return not _refused(kind, limit) and _refused(kind, limit + 1)
+
+
 def _active():
     """Whether the cap and the budget in force are the defaults, read through charges."""
-    return (not _refused("upsets", DEFAULT_UPSET_CAP) and _refused("upsets", DEFAULT_UPSET_CAP + 1),
-            not _refused("valuations", DEFAULT_BUDGET) and _refused("valuations", DEFAULT_BUDGET + 1))
+    return _at_default("upsets", DEFAULT_UPSET_CAP), _at_default("valuations", DEFAULT_BUDGET)
 
 
 def test_limits_apply_inside_the_block_only():
