@@ -218,7 +218,7 @@ def test_nerve_realize_refuses_over_2_20_chains(capsys, tmp_path, n):
 
 
 def _simplex_file(path, k):
-    """One simplex on the k standard basis vectors of R^k: 2**k - 1 faces in under 1 KB."""
+    """One simplex on the k standard basis vectors of R^k: 2**k - 1 faces from about 2 KB."""
     names = [f"v{i}" for i in range(k)]
     vertices = {v: [str(int(i == j)) for j in range(k)] for i, v in enumerate(names)}
     return _write(path, json.dumps({"vertices": vertices, "maximal": [names]}))

@@ -1,5 +1,5 @@
-"""--cap and --budget live in one context, poset.limits, and only poset.charge
-compares a count with a limit."""
+"""--cap and --budget live in one context, set by poset.limits, the one function
+that takes them, and read by poset.charge."""
 
 import ast
 import threading
@@ -61,7 +61,8 @@ def test_a_thread_started_in_a_block_runs_at_the_defaults():
     with limits(cap=1, budget=1):
         worker = threading.Thread(target=lambda: seen.append(_active()))
         worker.start()
-        worker.join()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
         assert _active() == (False, False)
     assert seen == [(True, True)]
 
