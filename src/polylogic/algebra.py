@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .errors import MalformedInput, MissingAtom, NotPMorphism, SoundnessError
+from .errors import MalformedInput, MissingAtom
 from .formula import And, Atom, Formula, Implies, Or, Top, atoms, fold
-from .poset import (MonotoneMap, Poset, _cover_rows, _union, charge, is_name_list, is_pmorphism,
-                    json_object)
+from .poset import Poset, _cover_rows, _union, charge, is_name_list, json_object
 
 __all__ = [
     "FiniteHeyting",
@@ -32,7 +31,6 @@ __all__ = [
     "join_irreducibles",
     "spec",
     "stone_map",
-    "up_of_pmorphism",
     "valuation_from_json",
     "valuation_to_json",
 ]
@@ -296,28 +294,6 @@ def stone_map(h: FiniteHeyting):
     # j <= u iff u is in the filter generated by j
     mapping = {u: sum(1 << k for k, j in enumerate(jis) if j & ~u == 0) for u in h.carrier}
     return mapping, sp, _cover_failures(mapping, h.frame, sp)
-
-
-def up_of_pmorphism(f: MonotoneMap):
-    """Dual homomorphism Up(B) -> Up(A) of a p-morphism f: A -> B, as a
-    dict from Up(B) masks, enumerated under the active cap, to Up(A) masks (preimage).
-
-    Preimage commutes with meet, join and complement, and U -> V is the
-    complement of down(U minus V): so -> is preserved, as checked, iff each
-    y in B has f^-1(down y) = down f^-1(y). Injectivity is verified when f
-    is surjective."""
-    ok, witness = is_pmorphism(f)
-    if not ok:
-        raise NotPMorphism(f"not a p-morphism, witness {witness}")
-    for y, down in enumerate(f.cod.down):
-        if f.preimage_mask(down) != f.dom.down_closure(f.preimage_mask(1 << y)):
-            name = f.cod.elements[y]
-            raise SoundnessError(f"dual map is not a Heyting homomorphism: f^-1(down {name}) "
-                                 f"is not down f^-1({name})")
-    mapping = {u: f.preimage_mask(u) for u in FiniteHeyting(f.cod).carrier}
-    if f.is_surjective() and len(set(mapping.values())) != len(mapping):
-        raise SoundnessError("dual map of a surjective p-morphism is not injective")
-    return mapping
 
 
 # ---------------------------------------------------------------------------

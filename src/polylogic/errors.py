@@ -58,10 +58,6 @@ class NotMonotone(PolylogicError):
     pass
 
 
-class NotPMorphism(PolylogicError):
-    pass
-
-
 class EmptyPoset(PolylogicError):
     pass
 
@@ -112,8 +108,4 @@ class UnknownSimplex(GeometryError):
 
 
 class PolarityMismatch(PolylogicError):
-    pass
-
-
-class WrongDimension(PolylogicError):
     pass

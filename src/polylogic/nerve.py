@@ -1,5 +1,6 @@
 """Nerve of a finite poset, realized from its maximal chains on standard
-basis vectors, the max-element p-morphism, and countermodel transfer."""
+basis vectors, the max-element p-morphism, and countermodel transfer.
+The nerve of a is the face poset of its realization, realize(a).face_poset()."""
 
 from __future__ import annotations
 
@@ -10,10 +11,9 @@ from .algebra import eval_formula, valuation_to_json
 from .errors import EmptyPoset, NotACountermodel, SoundnessError
 from .formula import Formula, pretty
 from .poset import MonotoneMap, Poset, _cover_rows, charge
-from .simplicial import Complex, DefinableSet, _separator, build_complex, complex_to_json
+from .simplicial import Complex, _separator, build_complex, complex_to_json
 
 __all__ = [
-    "nerve",
     "realize",
     "max_pmorphism",
     "transfer_countermodel",
@@ -52,12 +52,6 @@ def _chain_count(a: Poset) -> int:
     return sum(g)
 
 
-def nerve(a: Poset) -> Poset:
-    """Poset of all nonempty chains of a, ordered by inclusion: the face
-    poset of realize(a), element i being the chain realize(a).simplices[i]."""
-    return realize(a).face_poset()
-
-
 def realize(a: Poset) -> Complex:
     """Geometric realization: element a_i sits at the i-th standard basis
     vector of R^n (n = |a|), one simplex per chain."""
@@ -71,16 +65,11 @@ def _realize(a: Poset, maximal_chains: list[int]) -> Complex:
     return build_complex(vertices, [a.names_of(c) for c in maximal_chains])
 
 
-def _max_map(a: Poset, k: Complex) -> MonotoneMap:
+def max_pmorphism(a: Poset, k: Complex) -> MonotoneMap:
     """The map from the face poset of k, a realization of a, sending each
-    simplex to the maximum of its vertices in a."""
+    simplex, a chain of a, to its maximum: the p-morphism from the nerve onto a."""
     return MonotoneMap(k.face_poset(), a, tuple(
         a.elements[a.maximal_of(a.mask_of(s)).bit_length() - 1] for s in k.simplices))
-
-
-def max_pmorphism(a: Poset) -> MonotoneMap:
-    """The p-morphism nerve(a) -> a sending each chain to its maximum."""
-    return _max_map(a, realize(a))
 
 
 @dataclass
@@ -90,9 +79,6 @@ class PolyhedralCountermodel:
     formula: Formula
     valuation: dict[str, int]  # up-set masks over the nerve frame
     evaluation: int  # up-set mask, != top
-
-    def evaluation_set(self) -> DefinableSet:
-        return DefinableSet(self.complex, "open", self.evaluation)
 
     def to_json(self) -> dict:
         return {
@@ -115,7 +101,7 @@ def transfer_countermodel(a: Poset, valuation: dict[str, int], f: Formula) -> Po
         raise NotACountermodel("valuation does not refute the formula on the frame")
     k = realize(a)
     face = k.face_poset()
-    pm = _max_map(a, k)
+    pm = max_pmorphism(a, k)
     ok, witness = poset.is_pmorphism(pm)
     if not (ok and pm.is_surjective()):
         raise SoundnessError(f"max map is not a surjective p-morphism, witness {witness}")

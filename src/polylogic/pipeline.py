@@ -14,8 +14,8 @@ from .algebra import (FiniteHeyting, _filter_names, _spectrum, eval_formula, is_
                       join_irreducibles, spec, stone_map, valuation_to_json)
 from .errors import BudgetExceeded, SoundnessError
 from .formula import Formula, bd, pretty
-from .nerve import PolyhedralCountermodel, _chain_count, _max_map, _maximal_chains, _realize
-from .nerve import transfer_countermodel
+from .nerve import (PolyhedralCountermodel, _chain_count, _maximal_chains, _realize,
+                    max_pmorphism, transfer_countermodel)
 from .poset import Poset, enumerate_posets, is_pmorphism, poset_to_json
 from .simplicial import Complex, DefinableSet, co_implication, sample_points
 
@@ -325,7 +325,7 @@ def verify_nerve(a: Poset) -> Report:
     rep.add("face poset of realization iso nerve",
             len(k) == _chain_count(a) and pairs and bad is None,
             "" if bad is None else f"first failing simplex {face.elements[bad]}")
-    pm = _max_map(a, k)
+    pm = max_pmorphism(a, k)
     ok, witness = is_pmorphism(pm)
     rep.add("max map is a p-morphism", ok, "" if witness is None else str(witness))
     rep.add("max map is surjective", pm.is_surjective())

@@ -108,9 +108,6 @@ class Poset:
     def full_mask(self) -> int:
         return (1 << len(self.elements)) - 1
 
-    def leq(self, a: str, b: str) -> bool:
-        return bool(self.up[self.index[a]] >> self.index[b] & 1)
-
     def mask_of(self, names) -> int:
         m = 0
         for name in names:
@@ -177,6 +174,7 @@ class Poset:
         up-set first): each up-set of the elements seen so far that holds all
         of up(x) minus x gains a copy with x added. One sort at the end."""
         out = [0]
+        charge("upsets", 1)  # the empty up-set, the only one of the empty poset
         for i in sorted(range(len(self.elements)), key=lambda i: self.up[i].bit_count()):
             bit, above = 1 << i, self.up[i] & ~(1 << i)
             out += [u | bit for u in out if u & above == above]

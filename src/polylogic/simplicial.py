@@ -24,8 +24,7 @@ import random
 from fractions import Fraction
 
 from .errors import (AffinelyDependent, BadCoordinate, DimensionMismatch, DuplicateVertex,
-                     MalformedInput, OutsideSupport, PolarityMismatch, UnknownSimplex,
-                     WrongDimension)
+                     MalformedInput, OutsideSupport, PolarityMismatch, UnknownSimplex)
 from .poset import Poset, _Frozen, charge, is_name_list, json_object
 
 __all__ = [
@@ -221,9 +220,6 @@ class Complex:
             mask |= 1 << self._bit(key)
         return DefinableSet(self, polarity, mask)
 
-    def full_set(self, polarity: str) -> "DefinableSet":
-        return DefinableSet(self, polarity, self._face.full_mask)
-
 
 class DefinableSet(_Frozen):
     """A definable subpolyhedron: a down-set (closed) or up-set (open) of
@@ -261,11 +257,6 @@ class DefinableSet(_Frozen):
     def intersection(self, other: "DefinableSet") -> "DefinableSet":
         self._same(other)
         return DefinableSet(self.complex, self.polarity, self.mask & other.mask)
-
-    def complement(self) -> "DefinableSet":
-        """Flag complement: swaps polarity (closed <-> open)."""
-        pol = "open" if self.polarity == "closed" else "closed"
-        return DefinableSet(self.complex, pol, self.complex._face.full_mask & ~self.mask)
 
     def member(self, x: Point) -> bool:
         return bool(self.mask >> self.complex.index[self.complex.carrier(x)] & 1)
@@ -438,24 +429,6 @@ def verify_complex(k: Complex) -> ComplexReport:
             if maximal_violates[mn] and (mn == (i, j) or _pair_violates(k, s, t)):
                 bad.append((k.name(s), k.name(t)))
     return ComplexReport(bad)
-
-
-# ---------------------------------------------------------------------------
-# Pseudo-manifold check
-
-
-def is_closed_pseudomanifold(k: Complex, d: int):
-    """True iff every (d-1)-simplex is a face of exactly two d-simplices.
-    Returns (verdict, witnesses)."""
-    if k.dim() != d:
-        raise WrongDimension(f"complex has dimension {k.dim()}, expected {d}")
-    up = k.face_poset().up
-    tops = sum(1 << i for i, s in enumerate(k.simplices) if len(s) == d + 1)
-    witnesses = [
-        k.name(s) for i, s in enumerate(k.simplices)
-        if len(s) == d and bin(up[i] & tops).count("1") != 2
-    ]
-    return not witnesses, witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ by point, and Spec(Up(A)) against A by the explicit map x -> up(x).
 
 Closure: reachability along the covers by one depth-first search per
 element over name pairs, the slow check of ``from_covers``.
+
+Pseudo-manifolds: the closed-pseudomanifold check of acceptance criterion
+9, which no command runs, read off the vertex tuples of the simplices.
 """
 
 from __future__ import annotations
@@ -263,6 +266,23 @@ def verify_complex_violations(k):
             if pair_violates(k, s, t):
                 bad.append((k.name(s), k.name(t)))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Pseudo-manifold check
+
+
+def is_closed_pseudomanifold(k, d):
+    """True iff every (d-1)-simplex of k, a complex of dimension d, is a face
+    of exactly two d-simplices. Returns (verdict, witnesses): the names of
+    the (d-1)-simplices that fail. Another dimension raises ValueError."""
+    dim = max(map(len, k.simplices), default=0) - 1
+    if dim != d:
+        raise ValueError(f"complex has dimension {dim}, expected {d}")
+    tops = [set(s) for s in k.simplices if len(s) == d + 1]
+    witnesses = [k.name(s) for s in k.simplices
+                 if len(s) == d and sum(set(s) <= t for t in tops) != 2]
+    return not witnesses, witnesses
 
 
 def is_valid(frame, f):
@@ -516,12 +536,17 @@ def verify_ji(k):
     return rep
 
 
+def leq(p, a, b) -> bool:
+    """a <= b in p for element names a and b: b is in the up row of a."""
+    return bool(p.up[p.elements.index(a)] >> p.elements.index(b) & 1)
+
+
 def monotone_violation(dom, cod, mapping):
     """First pair (x, y) of dom indices, tried as pairs of names, with
     x <= y but mapping[x] !<= mapping[y]; None when the map is monotone."""
     for a, b in itertools.combinations(range(len(dom)), 2):
         for x, y in ((a, b), (b, a)):
-            if dom.up[x] >> y & 1 and not cod.leq(mapping[x], mapping[y]):
+            if dom.up[x] >> y & 1 and not leq(cod, mapping[x], mapping[y]):
                 return x, y
     return None
 
@@ -559,7 +584,7 @@ def is_order_isomorphism(p, other, mapping):
         return False
     for a in p.elements:
         for b in p.elements:
-            if p.leq(a, b) != other.leq(mapping[a], mapping[b]):
+            if leq(p, a, b) != leq(other, mapping[a], mapping[b]):
                 return False
     return True
 

@@ -593,6 +593,17 @@ def test_suite_nerve_keeps_to_the_cap(capsys):
     assert code == 0 and out.endswith("SUITE PASS\n")
 
 
+@pytest.mark.parametrize("command", [["poset", "upsets"], ["frame", "check", "p"]])
+def test_the_empty_poset_charges_its_one_up_set_to_the_cap(capsys, tmp_path, command):
+    empty = str(_write(tmp_path / "empty.json", '{"elements": [], "covers": []}'))
+    one = str(_write(tmp_path / "one.json", '{"elements": ["a"], "covers": []}'))
+    assert run(capsys, *command, empty, "--cap", "0") == (
+        2, "", "error: up-set enumeration cap exceeded after 1 sets\n")
+    assert run(capsys, *command, empty, "--cap", "1")[0] == 0
+    assert run(capsys, *command, one, "--cap", "1") == (
+        2, "", "error: up-set enumeration cap exceeded after 2 sets\n")
+
+
 def test_suite_esakia_on_a_14_antichain(capsys, tmp_path):
     names = json.dumps([f"a{i}" for i in range(14)])
     _write(tmp_path / "antichain14.json", f'{{"elements": {names}, "covers": []}}')

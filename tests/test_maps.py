@@ -13,11 +13,11 @@ import random
 import pytest
 
 import oracles
-from polylogic import nerve as nerve_mod, pipeline  # the module; nerve below is its function
+from polylogic import nerve as nerve_mod, pipeline
 from polylogic.algebra import is_valid
 from polylogic.errors import NotMonotone
 from polylogic.formula import parse
-from polylogic.nerve import max_pmorphism, nerve, realize, transfer_countermodel
+from polylogic.nerve import max_pmorphism, realize, transfer_countermodel
 from polylogic.pipeline import verify_nerve
 from polylogic.poset import MonotoneMap, Poset, enumerate_posets, is_pmorphism
 
@@ -98,11 +98,11 @@ def test_chains_nerve_and_realize_match_the_tuple_oracles():
         k, old_k = realize(p), oracles.realize(p)
         assert (k.simplices, k.vertices) == (old_k.simplices, old_k.vertices)
         # the nerve lists the chains in simplex order
-        nv, old = nerve(p), oracles.nerve(p)
+        nv, old = k.face_poset(), oracles.nerve(p)
         order = [old.index[k.name(s)] for s in k.simplices]
         old = relabelled(old, order)
         assert (nv.elements, nv.up) == (old.elements, old.up)
-        pm = max_pmorphism(p)
+        pm = max_pmorphism(p, k)
         assert (pm.dom.elements, pm.dom.up) == (old.elements, old.up)
         assert list(pm.mapping) == [oracles.max_images(p)[i] for i in order]
 
@@ -126,16 +126,11 @@ def test_one_chain_list_per_call(monkeypatch):
     monkeypatch.setattr(nerve_mod, "_maximal_chains", counted)
     monkeypatch.setattr(pipeline, "_maximal_chains", counted)  # verify_nerve binds it by name
     p = UP_TO_5[-1]  # the 5-chain in an order that is not a linear extension
-    for fn in (nerve, realize, max_pmorphism, verify_nerve):
+
+    def transfer(a):
+        return transfer_countermodel(a, {"p": a.maximal_of(a.full_mask)}, parse("p | ~p"))
+
+    for fn in (realize, verify_nerve, transfer):
         calls.clear()
         fn(p)
         assert calls == [p], fn.__name__
-
-    def refuse(_a):
-        raise AssertionError("transfer_countermodel builds its max map on the face poset")
-
-    monkeypatch.setattr(nerve_mod, "nerve", refuse)
-    monkeypatch.setattr(nerve_mod, "max_pmorphism", refuse)
-    calls.clear()
-    transfer_countermodel(p, {"p": p.maximal_of(p.full_mask)}, parse("p | ~p"))
-    assert calls == [p]

@@ -4,8 +4,9 @@ import oracles
 from polylogic.corpus import corpus_complexes
 from polylogic.errors import EmptyPoset, NotACountermodel
 from polylogic.formula import bd, parse
-from polylogic.nerve import max_pmorphism, nerve, realize, transfer_countermodel
+from polylogic.nerve import max_pmorphism, realize, transfer_countermodel
 from polylogic.poset import Poset, enumerate_posets, from_covers, is_pmorphism
+from polylogic.simplicial import DefinableSet
 
 
 def chain(n):
@@ -17,36 +18,34 @@ def fork():
 
 
 def test_nerve_of_two_chain():
-    nv = nerve(chain(2))
+    nv = realize(chain(2)).face_poset()
     assert sorted(nv.elements) == ["c0", "c0,c1", "c1"]
-    assert nv.leq("c0", "c0,c1") and nv.leq("c1", "c0,c1")
-    assert not nv.leq("c0", "c1")
+    up = {e: set(nv.names_of(row)) for e, row in zip(nv.elements, nv.up)}
+    assert up == {"c0": {"c0", "c0,c1"}, "c1": {"c1", "c0,c1"}, "c0,c1": {"c0,c1"}}
 
 
 def test_nerve_of_antichain_is_discrete():
     p = Poset(("x", "y"), (0b01, 0b10))
-    nv = nerve(p)
+    nv = realize(p).face_poset()
     assert len(nv) == 2 and nv.depth() == 0
 
 
 def test_nerve_chain_counts():
     # nerve of an n-chain is the poset of nonempty subsets: 2^n - 1 chains
     for n in range(1, 5):
-        assert len(nerve(chain(n))) == 2**n - 1
+        assert len(realize(chain(n)).face_poset()) == 2**n - 1
 
 
 def test_empty_poset_rejected():
-    empty = Poset((), ())
-    for fn in (nerve, realize, max_pmorphism):
-        with pytest.raises(EmptyPoset):
-            fn(empty)
+    with pytest.raises(EmptyPoset):
+        realize(Poset((), ()))
 
 
 def test_realize_on_standard_basis():
     p = fork()
     k = realize(p)
     assert k.dim() == p.depth() == 1
-    assert len(k) == len(nerve(p))
+    assert len(k) == len(oracles.nerve(p))
     # vertices sit on pairwise distinct standard basis vectors
     coords = set(k.vertices.values())
     assert len(coords) == len(p)
@@ -73,7 +72,7 @@ def test_realize_face_poset_matches_nerve():
 
 def test_max_pmorphism_properties():
     for p in [chain(3), fork()]:
-        f = max_pmorphism(p)
+        f = max_pmorphism(p, realize(p))
         ok, witness = is_pmorphism(f)
         assert ok, witness
         assert f.is_surjective()
@@ -88,8 +87,7 @@ def test_transfer_refutes_on_polyhedron():
     pcm = transfer_countermodel(p, valuation, bd(0))
     assert pcm.complex.dim() == p.depth() == 1
     assert pcm.evaluation != pcm.frame.full_mask
-    ev = pcm.evaluation_set()
-    assert ev.polarity == "open"
+    DefinableSet(pcm.complex, "open", pcm.evaluation)  # raises unless an up-set
 
 
 def test_transfer_rejects_non_countermodels():

@@ -9,7 +9,7 @@ import pytest
 import oracles
 import polylogic
 from polylogic import algebra, corpus, pipeline, poset
-from polylogic.algebra import eval_formula, up_of_pmorphism
+from polylogic.algebra import eval_formula
 from polylogic.errors import SoundnessError
 from polylogic.formula import bd, parse
 from polylogic.nerve import realize, transfer_countermodel
@@ -169,7 +169,7 @@ def test_verify_nerve_fails_on_a_face_poset_with_a_wrong_pair(monkeypatch, edits
 def test_verify_nerve_fails_on_a_max_map_that_is_not_a_pmorphism(monkeypatch):
     p = from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     # every simplex to the bottom: monotone, but up(a) is not the image of any up-set
-    monkeypatch.setattr(pipeline, "_max_map",
+    monkeypatch.setattr(pipeline, "max_pmorphism",
                         lambda a, k: MonotoneMap(k.face_poset(), a, ("a",) * len(k)))
     rep = verify_nerve(p)
     assert _failing(rep) == ["max map is a p-morphism", "max map is surjective"]
@@ -234,14 +234,6 @@ def test_polyhedral_dimension_is_checked(monkeypatch):
     monkeypatch.setattr(pipeline, "transfer_countermodel", too_deep)
     with pytest.raises(SoundnessError):
         polyhedral_countermodel(parse("p | ~p"), d=2, max_size=3)
-
-
-def test_dual_map_equations_are_checked(monkeypatch):
-    a = from_covers(["a", "b"], [["a", "b"]])
-    f = MonotoneMap(a, a, ("a", "b"))
-    monkeypatch.setattr(MonotoneMap, "preimage_mask", lambda self, m: 0)
-    with pytest.raises(SoundnessError):
-        up_of_pmorphism(f)
 
 
 @pytest.mark.parametrize("fault", ["too large", "too small"])
