@@ -17,7 +17,7 @@ from .formula import Formula, bd, pretty
 from .nerve import (PolyhedralCountermodel, _chain_count, _maximal_chains, _realize,
                     max_pmorphism, transfer_countermodel)
 from .poset import Poset, enumerate_posets, is_pmorphism, poset_to_json
-from .simplicial import Complex, DefinableSet, co_implication, sample_points
+from .simplicial import Complex, DefinableSet, co_implication
 
 __all__ = [
     "Verdict",
@@ -298,7 +298,7 @@ def verify_hneg(k: Complex, trials: int, seed: int = 0) -> Report:
             f"{failures} failures")
     # relint sigma n P != empty iff sigma <= P, at barycenters
     bad = 0
-    pts = sample_points(k, 1, seed=seed)
+    pts = k.barycenters()
     for _ in range(min(trials, 20)):
         dflags = k.simplices_of(_random_downset(face, rng))
         for x, s in pts:

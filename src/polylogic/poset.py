@@ -479,11 +479,21 @@ def read_text(path: str) -> str:
         raise MalformedInput(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInput(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def json_object(data, *keys) -> dict:
-    """A JSON object holding keys, given as a dict or as JSON text, else MalformedInput."""
+    """A JSON object holding keys, given as a dict or as JSON text, else
+    MalformedInput; so is text whose objects repeat a key."""
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
             raise MalformedInput(f"invalid JSON: {e}") from None
     if not isinstance(data, dict) or not set(keys) <= data.keys():

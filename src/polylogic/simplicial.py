@@ -20,8 +20,8 @@ Up(F(K).op()), PC^o(K) = Up(F(K))). Its algebra is the frame algebra of
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import combinations, product
 
 from .errors import (AffinelyDependent, BadCoordinate, DimensionMismatch, DuplicateVertex,
                      MalformedInput, OutsideSupport, PolarityMismatch, UnknownSimplex)
@@ -35,7 +35,6 @@ __all__ = [
     "complex_from_json",
     "complex_to_json",
     "complex_to_off",
-    "sample_points",
     "parse_rational",
 ]
 
@@ -209,6 +208,11 @@ class Complex:
         coords = barycentric_coordinates(self.points_of(key), x)
         return coords is not None and all(c >= 0 for c in coords)
 
+    def barycenters(self) -> list[tuple[Point, SimplexKey]]:
+        """(barycenter, simplex) for each simplex, in simplex order."""
+        return [(tuple(Fraction(sum(c), len(s)) for c in zip(*self.points_of(s))), s)
+                for s in self.simplices]
+
     # -- definable sets ---------------------------------------------------
 
     def open_star(self, key: SimplexKey) -> "DefinableSet":
@@ -295,8 +299,6 @@ def build_complex(vertices: dict, maximal_simplices) -> Complex:
     verts: dict[str, Point] = {}
     ambient = None
     for name, coords in vertices.items():
-        if name in verts:
-            raise DuplicateVertex(name)
         pt = tuple(parse_rational(c) for c in coords)
         if ambient is None:
             ambient = len(pt)
@@ -380,17 +382,13 @@ def _pair_violates(k: Complex, s: SimplexKey, t: SimplexKey) -> bool:
     return _signed_dependency(columns, [v not in t for v in s] + [True] * len(apart))
 
 
-class ComplexReport:
+class ComplexReport(_Frozen):
+    """The pairs of simplices, by name, that meet outside a common face."""
+
+    _fields = ("violations",)
+
     def __init__(self, violations: list[tuple[str, str]]):
-        self.violations = violations
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.violations == other.violations
-
-    def __repr__(self):
-        return f"ComplexReport(violations={self.violations!r})"
+        self.__dict__.update(violations=violations)
 
     @property
     def ok(self):
@@ -402,61 +400,33 @@ def verify_complex(k: Complex) -> ComplexReport:
     non-nested simplices (s, t), s before t, that meets outside a common
     face is reported by name, in simplex order.
 
-    The exact test runs on (s, t) only when (M, N) fails it, where M and N
-    are the first maximal cofaces of s and t. That skips no violation:
+    Each simplex is grouped under its first maximal coface. Each pair of
+    maximal simplices (M, N) is tested, and the pairs (s, t) with s under M
+    and t under N only when (M, N) fails. That skips no violation:
     build_complex checks M and N for affine independence, so a point x of
     s n t has unique barycentric coordinates in M and in N, namely its
     coordinates in s and in t. If M and N meet properly, x lies in the face
     spanned by their shared vertices, so its M- and N-coordinates coincide;
     hence its s- and t-coordinates coincide, are supported on the shared
-    vertices of s and t, and s and t meet properly too. When M = N, s and
-    t are faces of one simplex and always meet properly.
+    vertices of s and t, and s and t meet properly too. Two simplices under
+    one maximal simplex are faces of it and always meet properly.
     """
-    face = k._face
-    first_max = [(m & -m).bit_length() - 1 for m in map(face.maximal_of, face.up)]
-    maximal_violates: dict[tuple[int, int], bool] = {}
+    face, simplices = k._face, k.simplices
+    maximal = face.maximal_of(face.full_mask)
+    under: dict[int, list[int]] = {}
+    for i, row in enumerate(face.up):
+        first = row & maximal
+        under.setdefault((first & -first).bit_length() - 1, []).append(i)
     bad = []
-    for i, s in enumerate(k.simplices):
-        nested = face.up[i] | face.down[i]
-        for j in range(i + 1, len(k.simplices)):
-            if nested >> j & 1 or first_max[i] == first_max[j]:
-                continue
-            mn = tuple(sorted((first_max[i], first_max[j])))
-            if mn not in maximal_violates:
-                m, n = (k.simplices[x] for x in mn)
-                maximal_violates[mn] = _pair_violates(k, m, n)
-            t = k.simplices[j]
-            if maximal_violates[mn] and (mn == (i, j) or _pair_violates(k, s, t)):
-                bad.append((k.name(s), k.name(t)))
-    return ComplexReport(bad)
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-
-
-def sample_points(k: Complex, per_simplex: int, seed: int = 0):
-    """Per simplex: the barycenter plus pseudo-random strictly positive
-    rational barycentric combinations. Deterministic for a fixed seed.
-    Returns [(point, carrier_key)]."""
-    if per_simplex < 1:
-        raise ValueError("per_simplex must be >= 1")
-    rng = random.Random(seed)
-    out = []
-    for s in k.simplices:
-        pts = k.points_of(s)
-        m = len(pts)
-        weight_sets = [[1] * m]
-        for _ in range(per_simplex - 1):
-            weight_sets.append([rng.randint(1, 97) for _ in range(m)])
-        for ws in weight_sets:
-            total = sum(ws)
-            coords = tuple(
-                sum(Fraction(w, total) * p[i] for w, p in zip(ws, pts))
-                for i in range(k.ambient)
-            )
-            out.append((coords, s))
-    return out
+    for m, n in combinations(sorted(under), 2):
+        if not _pair_violates(k, simplices[m], simplices[n]):
+            continue
+        for i, j in product(under[m], under[n]):
+            s, t = sorted((i, j))
+            if (i, j) == (m, n) or (not (face.up[i] | face.down[i]) >> j & 1
+                                    and _pair_violates(k, simplices[s], simplices[t])):
+                bad.append((s, t))
+    return ComplexReport([(face.elements[s], face.elements[t]) for s, t in sorted(bad)])
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,16 @@ element over name pairs, the slow check of ``from_covers``.
 
 Pseudo-manifolds: the closed-pseudomanifold check of acceptance criterion
 9, which no command runs, read off the vertex tuples of the simplices.
+
+Sampling: the seeded sampler of points in each simplex, the barycenter and
+pseudo-random strictly positive combinations, which no command runs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 import re
 from fractions import Fraction
 from functools import reduce
@@ -266,6 +270,34 @@ def verify_complex_violations(k):
             if pair_violates(k, s, t):
                 bad.append((k.name(s), k.name(t)))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+
+
+def sample_points(k, per_simplex: int, seed: int = 0):
+    """Per simplex: the barycenter plus pseudo-random strictly positive
+    rational barycentric combinations. Deterministic for a fixed seed.
+    Returns [(point, carrier_key)]."""
+    if per_simplex < 1:
+        raise ValueError("per_simplex must be >= 1")
+    rng = random.Random(seed)
+    out = []
+    for s in k.simplices:
+        pts = k.points_of(s)
+        m = len(pts)
+        weight_sets = [[1] * m]
+        for _ in range(per_simplex - 1):
+            weight_sets.append([rng.randint(1, 97) for _ in range(m)])
+        for ws in weight_sets:
+            total = sum(ws)
+            coords = tuple(
+                sum(Fraction(w, total) * p[i] for w, p in zip(ws, pts))
+                for i in range(k.ambient)
+            )
+            out.append((coords, s))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import barycentric_coordinates, cofaces_of, is_closed_pseudomanifold
+from oracles import barycentric_coordinates, cofaces_of, is_closed_pseudomanifold, sample_points
 
 from polylogic import corpus
 from polylogic.algebra import eval_formula
@@ -23,7 +23,7 @@ from polylogic.pipeline import (
     verify_ji,
     verify_nerve,
 )
-from polylogic.simplicial import heyting_implication, sample_points
+from polylogic.simplicial import heyting_implication
 
 
 def _verdict(n, description, ok):

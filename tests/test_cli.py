@@ -143,6 +143,7 @@ def test_complex_missing_arg_exits_2_with_usage(capsys, corpus_dir, action):
     '{"elements": ["a", "b"]}',  # no covers
     '{"elements": ["a", "b"], "covers": [["a", "b"]]',  # not JSON
     '{"elements": ["a", "b"], "covers": [[["a"], "b"]]}',  # cover not a pair of names
+    '{"elements": ["a", "b"], "covers": [], "covers": [["a", "b"]]}',  # repeated key
 ])
 def test_bad_poset_file_exits_2_with_one_line(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
@@ -171,13 +172,16 @@ def test_bad_complex_and_valuation_files_exit_2(capsys, corpus_dir, tmp_path):
         _write(tmp_path / "no_maximal.json", '{"vertices": {"a": [0]}}'),
         _write(tmp_path / "list.json", "[1]"),
         _write(tmp_path / "coords.json", '{"vertices": {"a": 5}, "maximal": [["a"]]}'),
+        _write(tmp_path / "repeated.json",
+               '{"vertices": {"a": ["0"], "b": ["1"], "a": ["2"]}, "maximal": [["a", "b"]]}'),
     ]
     for cfile in complexes:
         code, _, err = run(capsys, "complex", "dim", str(cfile))
         assert code == 2 and err.startswith("error") and err.count("\n") == 1
     not_up = _write(tmp_path / "v.json", '{"p": ["a"]}')
     as_list = _write(tmp_path / "list_v.json", '["a"]')
-    for vfile in (bad, not_up, as_list):
+    repeated = _write(tmp_path / "repeated_v.json", '{"p": ["a", "b"], "p": ["b"]}')
+    for vfile in (bad, not_up, as_list, repeated):
         code, _, err = run(capsys, "frame", "check", "p", str(chain2), "--valuation", str(vfile))
         assert code == 2 and err.startswith("error") and err.count("\n") == 1
 
@@ -248,19 +252,29 @@ def test_many_faces_are_refused_before_the_complex_is_built(capsys, tmp_path, mo
     assert (code, out, err) == (2, "", "error: more than 32768 faces, the face cap\n")
 
 
+def _child(argv, timeout, preexec_fn=None):
+    """The finished run of the command line argv in a child interpreter."""
+    src = str(Path(polylogic.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "polylogic.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=preexec_fn, timeout=timeout)
+
+
 @pytest.mark.parametrize("command, k", _AMPLIFIERS)
 def test_many_faces_are_refused_within_512_mb(tmp_path, command, k):
     # the limit is the child's alone, so a missed refusal fails this test, not the machine
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    src = str(Path(polylogic.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-m", "polylogic.cli",
-                           *_amplifier_argv(tmp_path, command, k)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-                          preexec_fn=limit_memory, timeout=60)
+    done = _child(_amplifier_argv(tmp_path, command, k), 60, limit_memory)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: more than 32768 faces, the face cap\n"
+
+
+def test_complex_verify_on_a_15_vertex_simplex_finishes(tmp_path):
+    # 32767 faces under one maximal simplex, so no pair needs an exact test
+    done = _child(["complex", "verify", str(_simplex_file(tmp_path / "in.json", 15))], 20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_frame_check_answers_64_and_65_elements(capsys, tmp_path):

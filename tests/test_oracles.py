@@ -20,7 +20,6 @@ from polylogic.simplicial import (
     build_complex,
     co_implication,
     heyting_implication,
-    sample_points,
     verify_complex,
 )
 
@@ -76,7 +75,7 @@ def test_membership_matches_carrier_in_flags(complex_):
     sets = [k.open_star(rng.choice(k.simplices)) for _ in range(3)]
     full = k.face_poset().full_mask
     sets += [simplicial.DefinableSet(k, "closed", full & ~s.mask) for s in sets]
-    for x, carrier in sample_points(k, 1, seed=1):
+    for x, carrier in oracles.sample_points(k, 1, seed=1):
         for s in sets:
             assert s.member(x) == (carrier in s.flags)
 

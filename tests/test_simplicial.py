@@ -2,7 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from oracles import cofaces_of, faces_of, is_closed_pseudomanifold, is_isomorphic
+from oracles import cofaces_of, faces_of, is_closed_pseudomanifold, is_isomorphic, sample_points
 
 from polylogic.algebra import FiniteHeyting
 from polylogic.errors import (
@@ -24,7 +24,6 @@ from polylogic.simplicial import (
     complex_to_json,
     heyting_implication,
     parse_rational,
-    sample_points,
     verify_complex,
 )
 
@@ -294,6 +293,11 @@ def test_pseudomanifold_check():
     assert sorted(witnesses) == ["ab", "ad", "bc", "cd"]
     with pytest.raises(ValueError):
         is_closed_pseudomanifold(square(), 1)
+
+
+def test_barycenters_are_the_first_sample_of_each_simplex():
+    for k in (square(), build_complex({"a": []}, [["a"]])):
+        assert k.barycenters() == sample_points(k, 1)
 
 
 def test_sample_points_reproducible_and_in_carrier():
